@@ -2,8 +2,9 @@
 // the Gen/Detect costs behind Table II's timing columns: SHA-256, pair
 // modulus derivation (full re-hash vs midstate reduce), eligible-pair
 // construction (unpruned reference vs the pruned midstate scan), the three
-// selection strategies, end-to-end generation, and detection (uncached
-// reference vs the per-key modulus table).
+// selection strategies, end-to-end generation, detection (uncached
+// reference vs the per-key modulus table), and the dataset transform
+// (serial oracle vs the sharded overload that reuses the source histogram).
 //
 // After the google-benchmark run, main() executes the pair-enumeration
 // acceptance harness (ISSUE 3): BuildEligiblePairsReference vs
@@ -20,6 +21,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -33,6 +35,7 @@
 #include "crypto/pair_modulus.h"
 #include "crypto/sha256.h"
 #include "datagen/power_law.h"
+#include "datagen/real_world.h"
 #include "exec/exec_context.h"
 #include "exec/thread_pool.h"
 
@@ -259,6 +262,81 @@ void BM_HistogramFromDataset(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramFromDataset)->Arg(100000)->Arg(1000000)
     ->Unit(benchmark::kMillisecond);
+
+// Transform fixture shared by the two BM_TransformDataset counters: the
+// 1.2M-row eyeWnder stand-in and a real FreqyWM target under the
+// marketplace fingerprinting options, built once.
+struct TransformFixture {
+  Dataset rows;
+  Histogram source;
+  Histogram target;
+  bool ok = false;
+};
+
+const TransformFixture& GetTransformFixture() {
+  static const TransformFixture* fixture = [] {
+    auto* f = new TransformFixture;
+    Rng rng(12);
+    f->rows = MakeEyeWnderLikeDataset(rng);
+    f->source = Histogram::FromDataset(f->rows);
+    GenerateOptions o;
+    o.budget_percent = 2.0;
+    o.modulus_bound = 67;
+    o.min_modulus = 16;
+    o.min_pair_cost = 8;
+    o.seed = 13;
+    auto r = WatermarkGenerator(o).GenerateFromHistogram(f->source);
+    if (r.ok()) {
+      f->target = std::move(r.value().watermarked);
+      f->ok = true;
+    }
+    return f;
+  }();
+  return *fixture;
+}
+
+// "Before": the serial oracle, which rebuilds the source histogram.
+void BM_TransformDataset_Reference(benchmark::State& state) {
+  const TransformFixture& f = GetTransformFixture();
+  if (!f.ok) {
+    state.SkipWithError("generation failed");
+    return;
+  }
+  for (auto _ : state) {
+    Rng rng(14);
+    Dataset out = TransformDataset(f.rows, f.target, rng);
+    benchmark::DoNotOptimize(out.tokens().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(f.rows.size()));
+}
+BENCHMARK(BM_TransformDataset_Reference)->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// "After": the sharded overload; the argument is the pool's worker count
+// (0 = serial context, no pool; the caller thread always helps).
+void BM_TransformDataset(benchmark::State& state) {
+  const TransformFixture& f = GetTransformFixture();
+  if (!f.ok) {
+    state.SkipWithError("generation failed");
+    return;
+  }
+  const size_t workers = static_cast<size_t>(state.range(0));
+  std::unique_ptr<ThreadPool> pool;
+  if (workers > 0) pool = std::make_unique<ThreadPool>(workers);
+  const ExecContext exec(pool.get());
+  for (auto _ : state) {
+    Rng rng(14);
+    Dataset out = TransformDataset(f.rows, f.source, f.target, rng, exec);
+    benchmark::DoNotOptimize(out.tokens().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(f.rows.size()));
+}
+BENCHMARK(BM_TransformDataset)->Arg(0)->Arg(1)->Arg(2)->Arg(3)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // ------------------------------------------------------------------------
 // Pair-enumeration acceptance harness (runs after the google-benchmark

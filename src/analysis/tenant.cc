@@ -48,8 +48,13 @@ Status TenantSession::TrySubmit(std::vector<Histogram> suspects,
   Result<AdmissionController::Permit> permit =
       tenant_->admission_->TryAdmit(suspects.size(), deadline);
   FREQYWM_RETURN_NOT_OK(permit.status());
-  FREQYWM_RETURN_NOT_OK(session_->TryAddSuspects(std::move(suspects)));
+  // Enqueue and record the permit in one critical section: a drain that
+  // claimed these rows between the two would release nothing for them and
+  // leave their units in flight. `TryAddSuspects` never blocks, and the
+  // drain releases under `mu_` only after the session drain returned, so
+  // the lock order mu_ -> session queue is acyclic.
   MutexLock lock(mu_);
+  FREQYWM_RETURN_NOT_OK(session_->TryAddSuspects(std::move(suspects)));
   permits_.push_back(std::move(permit).value());
   return Status::OK();
 }

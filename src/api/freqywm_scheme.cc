@@ -92,8 +92,9 @@ Result<DatasetEmbedOutcome> FreqyWmScheme::EmbedDataset(
 
 Result<DatasetEmbedOutcome> FreqyWmScheme::EmbedDataset(
     const Dataset& original, const ExecContext& exec) const {
-  // Exec-aware end to end: sharded histogram build AND sharded
-  // eligible-pair scan (byte-identical to serial at any thread count).
+  // Exec-aware end to end: sharded histogram build, eligible-pair scan
+  // and data transformation (byte-identical to serial at any thread
+  // count), honoring the context's cancellation and deadline.
   FREQYWM_ASSIGN_OR_RETURN(DatasetGenerateResult generated,
                            WatermarkGenerator(options_).Generate(original,
                                                                  exec));

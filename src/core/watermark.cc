@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
+#include <string_view>
 #include <unordered_map>
 
 #include "core/select.h"
 #include "crypto/pair_modulus.h"
+#include "exec/thread_pool.h"
 #include "stats/similarity.h"
 
 namespace freqywm {
@@ -91,12 +94,14 @@ Result<HistogramGenerateResult> WatermarkGenerator::GenerateFromHistogram(
 
 Result<DatasetGenerateResult> WatermarkGenerator::Generate(
     const Dataset& original) const {
-  return Generate(original, Histogram::FromDataset(original));
+  return Generate(original, ExecContext{});
 }
 
 Result<DatasetGenerateResult> WatermarkGenerator::Generate(
     const Dataset& original, const ExecContext& exec) const {
-  return Generate(original, exec.BuildHistogram(original), exec);
+  FREQYWM_ASSIGN_OR_RETURN(Histogram hist,
+                           exec.BuildHistogramChecked(original));
+  return Generate(original, hist, exec);
 }
 
 Result<DatasetGenerateResult> WatermarkGenerator::Generate(
@@ -114,7 +119,7 @@ Result<DatasetGenerateResult> WatermarkGenerator::Generate(
                     hist_result.report.secrets.r.ToHex()))
               : options_.seed + 0x517cc1b727220a95ULL);
   DatasetGenerateResult out{
-      TransformDataset(original, hist_result.watermarked, rng),
+      TransformDataset(original, hist, hist_result.watermarked, rng, exec),
       std::move(hist_result.report)};
   return out;
 }
@@ -226,6 +231,161 @@ Dataset TransformDataset(const Dataset& original, const Histogram& target,
       ++kept_idx;
     }
   }
+  return Dataset(std::move(out));
+}
+
+namespace {
+
+/// Below this many rows per chunk, dispatching to the pool costs more
+/// than the scan it splits (the sharded histogram build's threshold).
+constexpr size_t kMinRowsPerTransformChunk = 1 << 14;
+
+/// A row holding a shrinking token: its position and the token's rank in
+/// the target histogram.
+struct ShrinkRow {
+  size_t row;
+  size_t rank;
+};
+
+/// Runs `body(c)` for every chunk `c` in `[0, chunks)`: on `exec`'s pool
+/// when there is more than one chunk, inline otherwise.
+void ForEachChunk(const ExecContext& exec, size_t chunks,
+                  const std::function<void(size_t)>& body) {
+  if (chunks > 1) {
+    exec.pool->ParallelFor(chunks, body);
+  } else {
+    body(0);
+  }
+}
+
+}  // namespace
+
+Dataset TransformDataset(const Dataset& original, const Histogram& source,
+                         const Histogram& target, Rng& rng,
+                         const ExecContext& exec) {
+  const size_t n = original.size();
+  if (source.total_count() != n) {
+    return TransformDataset(original, target, rng);
+  }
+
+  // Phase 1: per target rank, the source count and the surplus to drop;
+  // the additions list in rank order, exactly as the oracle builds it.
+  const std::vector<HistogramEntry>& wanted = target.entries();
+  std::vector<uint64_t> have(wanted.size());
+  std::vector<uint64_t> drop(wanted.size());
+  std::vector<Token> additions;
+  std::unordered_map<std::string_view, size_t> rank_of;
+  rank_of.reserve(wanted.size());
+  uint64_t shrinking_rows = 0;
+  uint64_t total_drop = 0;
+  for (size_t r = 0; r < wanted.size(); ++r) {
+    const HistogramEntry& e = wanted[r];
+    have[r] = source.CountOf(e.token).value_or(0);
+    if (e.count < have[r]) {
+      drop[r] = have[r] - e.count;
+      shrinking_rows += have[r];
+      total_drop += drop[r];
+    } else {
+      additions.insert(additions.end(), e.count - have[r], e.token);
+    }
+    rank_of.emplace(e.token, r);
+  }
+
+  // Phase 2: scan contiguous row chunks in parallel, counting every
+  // target token and recording where the shrinking tokens sit.
+  // Concatenating the chunks in order yields row order.
+  const size_t chunks =
+      exec.parallel()
+          ? std::min(exec.pool->num_threads() + 1,
+                     std::max<size_t>(1, n / kMinRowsPerTransformChunk))
+          : 1;
+  std::vector<std::vector<ShrinkRow>> shrink_rows(chunks);
+  std::vector<std::vector<uint64_t>> seen(chunks);
+  ForEachChunk(exec, chunks, [&](size_t c) {
+    const size_t begin = n * c / chunks;
+    const size_t end = n * (c + 1) / chunks;
+    std::vector<uint64_t>& counts = seen[c];
+    counts.assign(wanted.size(), 0);
+    std::vector<ShrinkRow>& rows = shrink_rows[c];
+    rows.reserve(shrinking_rows / chunks);
+    for (size_t i = begin; i < end; ++i) {
+      auto it = rank_of.find(original[i]);
+      if (it == rank_of.end()) continue;
+      ++counts[it->second];
+      if (drop[it->second] > 0) rows.push_back(ShrinkRow{i, it->second});
+    }
+  });
+
+  // `source` must agree with the rows on every target token, or the
+  // draws below would diverge from the oracle's; fall back to it
+  // (`rng` is untouched so far).
+  for (size_t r = 0; r < wanted.size(); ++r) {
+    uint64_t total = 0;
+    for (const std::vector<uint64_t>& counts : seen) total += counts[r];
+    if (total != have[r]) return TransformDataset(original, target, rng);
+  }
+
+  // Phase 3: the oracle's draws, in row order: occurrence k of a token
+  // with `remaining` unvisited occurrences is dropped with probability
+  // drop / remaining.
+  std::vector<uint64_t>& remaining = have;
+  std::vector<size_t> dropped;
+  dropped.reserve(total_drop);
+  for (const std::vector<ShrinkRow>& rows : shrink_rows) {
+    for (const ShrinkRow& s : rows) {
+      uint64_t& left = drop[s.rank];
+      if (left > 0 && rng.UniformU64(remaining[s.rank]) < left) {
+        --left;
+        dropped.push_back(s.row);
+      }
+      --remaining[s.rank];
+    }
+  }
+
+  // Phase 4: the oracle's placement of the additions, unchanged.
+  const size_t final_size = n - dropped.size() + additions.size();
+  std::vector<size_t> slots;
+  if (!additions.empty()) {
+    rng.Shuffle(additions);
+    slots = rng.SampleWithoutReplacement(final_size, additions.size());
+    std::sort(slots.begin(), slots.end());
+  }
+
+  // Phase 5: fill output-position ranges in parallel. A range starting at
+  // `begin` holds `begin - s` kept rows before it (s = slots below
+  // `begin`); the dropped rows before the k-th kept row are those with
+  // dropped[i] - i <= k, since dropped[i] - i counts the kept rows
+  // preceding dropped[i].
+  std::vector<Token> out(final_size);
+  ForEachChunk(exec, chunks, [&](size_t c) {
+    const size_t begin = final_size * c / chunks;
+    const size_t end = final_size * (c + 1) / chunks;
+    size_t s = static_cast<size_t>(
+        std::lower_bound(slots.begin(), slots.end(), begin) - slots.begin());
+    const size_t kept_before = begin - s;
+    size_t d = 0;
+    size_t hi = dropped.size();
+    while (d < hi) {
+      const size_t mid = d + (hi - d) / 2;
+      if (dropped[mid] - mid <= kept_before) {
+        d = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    size_t row = kept_before + d;
+    for (size_t pos = begin; pos < end; ++pos) {
+      if (s < slots.size() && slots[s] == pos) {
+        out[pos] = std::move(additions[s++]);
+        continue;
+      }
+      while (d < dropped.size() && dropped[d] == row) {
+        ++d;
+        ++row;
+      }
+      out[pos] = original[row++];
+    }
+  });
   return Dataset(std::move(out));
 }
 

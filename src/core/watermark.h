@@ -83,8 +83,10 @@ class WatermarkGenerator {
   /// Watermarks a dataset end-to-end (histogram + data transformation).
   Result<DatasetGenerateResult> Generate(const Dataset& original) const;
 
-  /// Exec-aware end-to-end variant: histogram build AND eligible-pair scan
-  /// run through `exec`. Byte-identical to the serial overload.
+  /// Exec-aware end-to-end variant: the histogram build, the eligible-pair
+  /// scan and the data transformation run through `exec`. Byte-identical
+  /// to the serial overload. Returns `kCancelled` / `kDeadlineExceeded`
+  /// when `exec` is interrupted before or during the histogram build.
   Result<DatasetGenerateResult> Generate(const Dataset& original,
                                          const ExecContext& exec) const;
 
@@ -95,7 +97,8 @@ class WatermarkGenerator {
   Result<DatasetGenerateResult> Generate(const Dataset& original,
                                          const Histogram& hist) const;
 
-  /// Prebuilt-histogram variant that also shards the eligible-pair scan.
+  /// Prebuilt-histogram variant that also shards the eligible-pair scan
+  /// and the data transformation (which reuses `hist` as its source).
   Result<DatasetGenerateResult> Generate(const Dataset& original,
                                          const Histogram& hist,
                                          const ExecContext& exec) const;
@@ -122,8 +125,26 @@ Histogram ApplyPairDeltas(const Histogram& hist,
 /// Rewrites `original` so its histogram matches `target`: removes surplus
 /// token instances at random positions and inserts missing ones at random
 /// positions. Tokens absent from `target` are left untouched.
+///
+/// The serial oracle (DESIGN.md §7): it rebuilds the source histogram
+/// itself and walks the rows once. The exec-aware overload below must
+/// return the same bytes and leave `rng` in the same state.
 Dataset TransformDataset(const Dataset& original, const Histogram& target,
                          Rng& rng);
+
+/// Sharded transform: the same output as the 3-argument oracle, with the
+/// same draws from `rng`, at any thread count. It reuses the caller's
+/// `source` histogram instead of rebuilding it, splits the row scan and
+/// the output fill across `exec`'s pool, and copies each kept token once.
+/// Below an internal row threshold, or without a pool, it runs inline.
+///
+/// Precondition: `source` equals `Histogram::FromDataset(original)`. A
+/// `source` whose total or whose count of any `target` token disagrees
+/// with the rows is detected, and the call falls back to the oracle, so
+/// the output is the oracle's either way; only the speed-up is lost.
+Dataset TransformDataset(const Dataset& original, const Histogram& source,
+                         const Histogram& target, Rng& rng,
+                         const ExecContext& exec);
 
 }  // namespace freqywm
 

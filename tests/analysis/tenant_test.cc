@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/factory.h"
@@ -163,6 +165,43 @@ TEST(TenantTest, AbandonedSessionReturnsLeasedUnits) {
   }
   EXPECT_EQ(tenant.Health().admission.in_flight, 0u);
   EXPECT_EQ(tenant.open_sessions(), 0u);
+}
+
+TEST(TenantTest, TrySubmitRacingDrainsLeavesNoUnitsInFlight) {
+  // Submitters race a draining thread. A drain that claims rows between
+  // their enqueue and the recording of their permit must still return
+  // their units, so once everything is drained nothing stays in flight.
+  // No keys are escrowed, so a drain is only the claim and the release,
+  // as short as the window it must land in; more submitters than cores
+  // get preempted mid-submit.
+  constexpr size_t kSubmitters = 8;
+  constexpr size_t kSubmitsEach = 20000;
+  TenantContext tenant("acme");
+  auto session = tenant.OpenSession();
+  ASSERT_TRUE(session.ok());
+  TenantSession& s = *session.value();
+
+  std::atomic<size_t> running{kSubmitters};
+  std::atomic<size_t> failed{0};
+  std::thread drainer([&] {
+    while (running.load() > 0) (void)s.DrainChecked(InterruptContext{});
+  });
+  std::vector<std::thread> submitters;
+  for (size_t t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&] {
+      for (size_t i = 0; i < kSubmitsEach; ++i) {
+        if (!s.TrySubmit(std::vector<Histogram>(1)).ok()) ++failed;
+      }
+      --running;
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+  drainer.join();
+  (void)s.DrainChecked(InterruptContext{});
+
+  EXPECT_EQ(failed.load(), 0u);
+  EXPECT_EQ(s.pending_suspects(), 0u);
+  EXPECT_EQ(tenant.Health().admission.in_flight, 0u);
 }
 
 TEST(TenantTest, CacheSliceIsSizedByQuotaAndPrivate) {

@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "api/factory.h"
+#include "api/scheme.h"
 #include "common/mutex.h"
 #include "common/random.h"
 #include "datagen/power_law.h"
@@ -290,6 +292,35 @@ TEST(CancellationTest, BuildHistogramCheckedHonorsCancellation) {
   Result<Histogram> cancelled = exec.BuildHistogramChecked(dataset);
   ASSERT_FALSE(cancelled.ok());
   EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+}
+
+TEST(CancellationTest, EmbedDatasetHonorsInterruptionForEveryScheme) {
+  Rng rng(79);
+  PowerLawSpec spec;
+  spec.num_tokens = 100;
+  spec.sample_size = 50000;
+  Dataset dataset = GeneratePowerLawDataset(spec, rng);
+
+  ThreadPool pool(2);
+  for (const std::string& name : SchemeFactory::RegisteredNames()) {
+    auto scheme = SchemeFactory::Create(name);
+    ASSERT_TRUE(scheme.ok()) << name << ": " << scheme.status();
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      CancellationSource source;
+      source.Cancel();
+      ExecContext cancelled(p);
+      cancelled.cancel = source.token();
+      auto c = scheme.value()->EmbedDataset(dataset, cancelled);
+      ASSERT_FALSE(c.ok()) << name;
+      EXPECT_EQ(c.status().code(), StatusCode::kCancelled) << name;
+
+      ExecContext late(p);
+      late.deadline = Deadline::Expired();
+      auto d = scheme.value()->EmbedDataset(dataset, late);
+      ASSERT_FALSE(d.ok()) << name;
+      EXPECT_EQ(d.status().code(), StatusCode::kDeadlineExceeded) << name;
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
 
 #include "core/detect.h"
 #include "core/secrets.h"
@@ -50,8 +52,12 @@ TEST_P(PipelineTest, GenerateSerializeReloadDetect) {
                                        param.metric),
             98.0);
 
-  // Round-trip the secrets through the wire format.
-  std::string path = testing::TempDir() + "/e2e_secrets.txt";
+  // Round-trip the secrets through the wire format. One file per
+  // instance: ctest runs the instances as concurrent processes.
+  std::string instance =
+      testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::replace(instance.begin(), instance.end(), '/', '_');
+  std::string path = testing::TempDir() + "/e2e_secrets_" + instance + ".txt";
   ASSERT_TRUE(r.value().report.secrets.SaveToFile(path).ok());
   auto reloaded = WatermarkSecrets::LoadFromFile(path);
   ASSERT_TRUE(reloaded.ok());
