@@ -4,7 +4,8 @@
 // construction (unpruned reference vs the pruned midstate scan), the three
 // selection strategies, end-to-end generation, detection (uncached
 // reference vs the per-key modulus table), and the dataset transform
-// (serial oracle vs the sharded overload that reuses the source histogram).
+// (serial oracle vs the sharded overload that reuses the source histogram),
+// and the batch engine's session drain in the trace workload's shape.
 //
 // After the google-benchmark run, main() executes the pair-enumeration
 // acceptance harness (ISSUE 3): BuildEligiblePairsReference vs
@@ -36,6 +37,8 @@
 #include "crypto/sha256.h"
 #include "datagen/power_law.h"
 #include "datagen/real_world.h"
+#include "exec/batch_detector.h"
+#include "exec/cancellation.h"
 #include "exec/exec_context.h"
 #include "exec/thread_pool.h"
 
@@ -337,6 +340,85 @@ void BM_TransformDataset(benchmark::State& state) {
 }
 BENCHMARK(BM_TransformDataset)->Arg(0)->Arg(1)->Arg(2)->Arg(3)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// Session-drain fixture in the shape of the end-to-end trace workload:
+// 4,096 innocent-style FreqyWM keys (30 token-disjoint pairs each from the
+// eyeWnder stand-in's top 2,000 ranks, z 67, every modulus at or above the
+// fingerprinting floor of 16) and eyeWnder stand-in suspects, prepared
+// once into a 2-thread session (the caller plus one pool worker).
+struct SessionDrainFixture {
+  std::vector<Histogram> suspects;
+  std::unique_ptr<BatchDetector::Session> session;
+};
+
+const SessionDrainFixture& GetSessionDrainFixture() {
+  static const SessionDrainFixture* fixture = [] {
+    constexpr size_t kKeys = 4096;
+    constexpr size_t kPairs = 30;
+    constexpr size_t kWindow = 2000;
+    auto* f = new SessionDrainFixture;
+    Rng rng(21);
+    const Histogram source = MakeEyeWnderLikeHistogram(rng);
+    std::vector<SchemeKey> keys;
+    std::vector<uint8_t> used(kWindow);
+    while (keys.size() < kKeys) {
+      WatermarkSecrets s;
+      s.r = GenerateSecret(256, rng.NextU64() | 1);
+      s.z = 67;
+      PairModulus modulus(s.r, s.z);
+      std::fill(used.begin(), used.end(), 0);
+      while (s.pairs.size() < kPairs) {
+        size_t i = rng.UniformU64(kWindow);
+        size_t j = rng.UniformU64(kWindow);
+        if (i == j || used[i] || used[j]) continue;
+        if (i > j) std::swap(i, j);
+        const Token& ti = source.entry(i).token;
+        const Token& tj = source.entry(j).token;
+        if (modulus.Compute(ti, tj) < 16) continue;
+        used[i] = used[j] = 1;
+        s.pairs.push_back(SecretPair{ti, tj});
+      }
+      keys.push_back(SchemeKey{"freqywm", s.Serialize()});
+    }
+    for (uint64_t seed = 22; seed < 30; ++seed) {
+      Rng suspect_rng(seed);
+      f->suspects.push_back(MakeEyeWnderLikeHistogram(suspect_rng));
+    }
+    BatchDetectOptions options;
+    options.num_threads = 2;
+    f->session =
+        std::make_unique<BatchDetector::Session>(options, std::move(keys));
+    return f;
+  }();
+  return *fixture;
+}
+
+// One failure-aware drain of a batch of `range(0)` suspects against the
+// 4,096-key column: the scatter and the cell matrix of
+// `Session::DrainChecked`, without the queue claim (which would copy the
+// suspect histograms into the queue each iteration). Reports the time per
+// matrix cell and the suspects verdicted per second.
+void BM_SessionDrain(benchmark::State& state) {
+  const SessionDrainFixture& f = GetSessionDrainFixture();
+  const size_t batch = static_cast<size_t>(state.range(0));
+  const std::vector<Histogram> suspects(f.suspects.begin(),
+                                        f.suspects.begin() + batch);
+  const size_t keys = f.session->keys().size();
+  for (auto _ : state) {
+    SessionDrainResult r =
+        f.session->DetectChecked(suspects, InterruptContext{});
+    benchmark::DoNotOptimize(r.verdicts.data());
+  }
+  const double suspects_done =
+      static_cast<double>(state.iterations()) * static_cast<double>(batch);
+  state.counters["suspects/s"] =
+      benchmark::Counter(suspects_done, benchmark::Counter::kIsRate);
+  state.counters["s/cell"] = benchmark::Counter(
+      suspects_done * static_cast<double>(keys),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SessionDrain)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // ------------------------------------------------------------------------
 // Pair-enumeration acceptance harness (runs after the google-benchmark

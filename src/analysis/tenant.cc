@@ -34,11 +34,13 @@ Status TenantSession::Submit(std::vector<Histogram> suspects,
       tenant_->admission_->Admit(suspects.size(), interrupt);
   FREQYWM_RETURN_NOT_OK(permit.status());
   // A failed enqueue drops the permit here, so the shed leaves no units
-  // leased — all-or-nothing.
+  // leased — all-or-nothing. `mu_` cannot be held across the blocking
+  // enqueue, so a drain may claim these rows before the permit below is
+  // recorded; `RecordPermit` pays off whatever it released ahead of it.
   FREQYWM_RETURN_NOT_OK(
       session_->AddSuspectsBounded(std::move(suspects), interrupt));
   MutexLock lock(mu_);
-  permits_.push_back(std::move(permit).value());
+  RecordPermit(std::move(permit).value());
   return Status::OK();
 }
 
@@ -55,7 +57,7 @@ Status TenantSession::TrySubmit(std::vector<Histogram> suspects,
   // the lock order mu_ -> session queue is acyclic.
   MutexLock lock(mu_);
   FREQYWM_RETURN_NOT_OK(session_->TryAddSuspects(std::move(suspects)));
-  permits_.push_back(std::move(permit).value());
+  RecordPermit(std::move(permit).value());
   return Status::OK();
 }
 
@@ -75,6 +77,15 @@ size_t TenantSession::pending_suspects() const {
 
 void TenantSession::ReleaseUnits(size_t rows) {
   MutexLock lock(mu_);
+  drained_ahead_ += ReleaseLocked(rows);
+}
+
+void TenantSession::RecordPermit(AdmissionController::Permit permit) {
+  permits_.push_back(std::move(permit));
+  drained_ahead_ = ReleaseLocked(drained_ahead_);
+}
+
+size_t TenantSession::ReleaseLocked(size_t rows) {
   while (rows > 0 && !permits_.empty()) {
     AdmissionController::Permit& front = permits_.front();
     const size_t take = std::min(front.units(), rows);
@@ -82,6 +93,7 @@ void TenantSession::ReleaseUnits(size_t rows) {
     rows -= take;
     if (front.units() == 0) permits_.pop_front();
   }
+  return rows;
 }
 
 // --------------------------------------------------------- TenantContext

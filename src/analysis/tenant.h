@@ -145,8 +145,15 @@ class TenantSession {
                 std::unique_ptr<BatchDetector::Session> session);
 
   /// Returns `rows` admitted units to the in-flight semaphore, oldest
-  /// permits first.
+  /// permits first; rows beyond the recorded permits are carried in
+  /// `drained_ahead_`.
   void ReleaseUnits(size_t rows);
+  /// Records a permit whose rows are enqueued, then pays off any rows a
+  /// drain released ahead of it.
+  void RecordPermit(AdmissionController::Permit permit) REQUIRES(mu_);
+  /// Releases up to `rows` units from the recorded permits, oldest first;
+  /// returns the rows left unpaid.
+  size_t ReleaseLocked(size_t rows) REQUIRES(mu_);
 
   TenantContext* const tenant_;
   const std::unique_ptr<BatchDetector::Session> session_;
@@ -156,6 +163,10 @@ class TenantSession {
   /// queue's arrival order).
   mutable Mutex mu_;
   std::deque<AdmissionController::Permit> permits_ GUARDED_BY(mu_);
+  /// Rows drained before their permit was recorded: a blocking `Submit`
+  /// enqueues before it can take `mu_`, so a drain may release its rows
+  /// first. Paid off by the next recorded permit.
+  size_t drained_ahead_ GUARDED_BY(mu_) = 0;
 };
 
 /// One tenant of the detection engine (DESIGN.md §14): owns the tenant's

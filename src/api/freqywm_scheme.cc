@@ -48,12 +48,11 @@ class FreqyWmPreparedKey : public PreparedKey {
 
   const PairModulusTable& table() const { return table_; }
 
-  /// Detection reads exactly the counts of the table's interned tokens, so
-  /// those are the dense-gather vocabulary; an invalid table (malformed
-  /// key) opts out and the engine degrades to the rejecting histogram
-  /// path.
-  const std::vector<Token>* TokenVocabulary() const override {
-    return table_.valid() ? &table_.tokens() : nullptr;
+  /// Detection is the pair loop over this table; an invalid table
+  /// (malformed key) opts out and the engine degrades to the rejecting
+  /// histogram path.
+  const PairModulusTable* PairTable() const override {
+    return table_.valid() ? &table_ : nullptr;
   }
 
  private:
@@ -126,20 +125,6 @@ DetectResult FreqyWmScheme::Detect(const Histogram& suspect,
   // An invalid table (unparsable/foreign key) rejects inside
   // DetectWatermark, matching the parse-per-call path bit for bit.
   return DetectWatermark(suspect, own->table(), options);
-}
-
-DetectResult FreqyWmScheme::Detect(const DenseSuspectCounts& counts,
-                                   const uint32_t* dense_ids,
-                                   const PreparedKey& prepared,
-                                   const DetectOptions& options) const {
-  const auto* own = dynamic_cast<const FreqyWmPreparedKey*>(&prepared);
-  // The engine only routes here for a non-null vocabulary, which implies a
-  // valid own-scheme table; a foreign object rejects (base default).
-  if (own == nullptr || !own->table().valid()) {
-    return WatermarkScheme::Detect(counts, dense_ids, prepared, options);
-  }
-  return DetectWatermark(own->table(), dense_ids, counts.counts,
-                         counts.present, options);
 }
 
 DetectOptions FreqyWmScheme::RecommendedDetectOptions(

@@ -37,11 +37,6 @@ class FreqyWmScheme : public WatermarkScheme {
   std::unique_ptr<PreparedKey> Prepare(const SchemeKey& key) const override;
   DetectResult Detect(const Histogram& suspect, const PreparedKey& prepared,
                       const DetectOptions& options) const override;
-  /// Dense-gather detection over the prepared table: zero hash probes per
-  /// cell (DESIGN.md §10); byte-identical to the histogram overload.
-  DetectResult Detect(const DenseSuspectCounts& counts,
-                      const uint32_t* dense_ids, const PreparedKey& prepared,
-                      const DetectOptions& options) const override;
   DetectOptions RecommendedDetectOptions(const SchemeKey& key) const override;
   bool SupportsRefresh() const override { return true; }
   Result<EmbedOutcome> Refresh(const Histogram& drifted,

@@ -108,16 +108,6 @@ DetectResult WatermarkScheme::Detect(const Histogram& suspect,
   return Detect(suspect, prepared.key(), options);
 }
 
-DetectResult WatermarkScheme::Detect(const DenseSuspectCounts& /*counts*/,
-                                     const uint32_t* /*dense_ids*/,
-                                     const PreparedKey& /*prepared*/,
-                                     const DetectOptions& /*options*/) const {
-  // Reached only on a contract violation (a scheme exposing a vocabulary
-  // without overriding the dense overload, or a foreign `prepared`);
-  // reject rather than crash, matching the malformed-key convention.
-  return DetectResult{};
-}
-
 DetectOptions WatermarkScheme::RecommendedDetectOptions(
     const SchemeKey& /*key*/) const {
   return DetectOptions{};

@@ -76,18 +76,6 @@ struct DatasetEmbedOutcome {
   EmbedReport report;
 };
 
-/// A suspect histogram scattered into dense token ids (DESIGN.md §10): the
-/// batch engine interns the union of its keys' `TokenVocabulary`s into ids
-/// `[0, vocab_size)` once per session, then writes each suspect's counts
-/// into one flat array — `counts[id]` is valid iff `present[id]` is
-/// non-zero. A detection cell reads counts by index instead of hashing
-/// into the suspect histogram per key token. Both pointers are non-null
-/// and sized to the session vocabulary; the view never owns the storage.
-struct DenseSuspectCounts {
-  const uint64_t* counts = nullptr;
-  const uint8_t* present = nullptr;
-};
-
 /// Opaque per-key detection state returned by `WatermarkScheme::Prepare`:
 /// everything about a key that detection reuses across suspects (parsed
 /// payload, derived moduli, ...), paid once per key instead of once per
@@ -109,20 +97,18 @@ class PreparedKey {
   /// The key this state was derived from.
   const SchemeKey& key() const { return key_; }
 
-  /// The key's token vocabulary: the distinct tokens whose suspect-side
-  /// counts detection reads, enabling the batch engine's dense count
-  /// gather (DESIGN.md §10). Returns nullptr when detection scans the
-  /// whole suspect histogram instead of a key-determined token set (WM-OBT
-  /// partition statistics, WM-RVS per-token digits) or when the key is
-  /// malformed — the engine then falls back to the histogram-path
-  /// `Detect`. When non-null, the owning scheme must override the
-  /// dense-counts `Detect` overload, the vector must stay valid and
-  /// unchanged for the lifetime of this object, and for counts scattered
-  /// from a suspect the dense overload must be byte-identical to
-  /// `Detect(suspect, *this, options)`.
-  virtual const std::vector<Token>* TokenVocabulary() const {
-    return nullptr;
-  }
+  /// The key's stored pairs and their derived moduli, for schemes whose
+  /// detection is the FreqyWM pair loop over a `PairModulusTable`;
+  /// nullptr when detection scans the whole suspect histogram instead
+  /// (WM-OBT partition statistics, WM-RVS per-token digits) or when the
+  /// key is malformed. The batch engine binds a non-null table's pairs to
+  /// its session-wide dense token ids once, at preparation, and evaluates
+  /// those cells with `DetectWatermark(pairs, n, counts, present, …)`
+  /// instead of calling the scheme (DESIGN.md §10). So when non-null, the
+  /// table must stay valid and unchanged for the lifetime of this object,
+  /// and `Detect(suspect, *this, options)` must be byte-identical to
+  /// `DetectWatermark(suspect, *PairTable(), options)`.
+  virtual const PairModulusTable* PairTable() const { return nullptr; }
 
  private:
   SchemeKey key_;
@@ -207,22 +193,6 @@ class WatermarkScheme {
   /// from a different scheme degrades to the key-parsing path (which
   /// rejects a foreign key), never crashes.
   virtual DetectResult Detect(const Histogram& suspect,
-                              const PreparedKey& prepared,
-                              const DetectOptions& options) const;
-
-  /// Dense-gather detection (DESIGN.md §10): `dense_ids[t]` maps index `t`
-  /// of `prepared.TokenVocabulary()` to an id in `counts`. The batch
-  /// engine calls this only when the vocabulary is non-null, after
-  /// scattering the suspect histogram into `counts` once for all keys.
-  ///
-  /// Contract: byte-identical to `Detect(suspect, prepared, options)`
-  /// whenever `counts` was scattered from `suspect` over a vocabulary
-  /// union containing the key's tokens. Schemes returning a non-null
-  /// `TokenVocabulary` must override this; the default (for schemes whose
-  /// detection scans the whole suspect and for foreign `prepared` objects)
-  /// rejects.
-  virtual DetectResult Detect(const DenseSuspectCounts& counts,
-                              const uint32_t* dense_ids,
                               const PreparedKey& prepared,
                               const DetectOptions& options) const;
 

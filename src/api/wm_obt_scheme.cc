@@ -28,14 +28,6 @@ class WmObtPreparedKey : public PreparedKey {
     valid = true;
   }
 
-  /// Dense gather opt-out (DESIGN.md §10): WM-OBT's evidence is the keyed
-  /// partition statistic over *every* suspect token — the key names no
-  /// token set of its own — so there is no vocabulary to scatter and the
-  /// batch engine keeps the histogram-path `Detect` for this scheme.
-  const std::vector<Token>* TokenVocabulary() const override {
-    return nullptr;
-  }
-
   WmObtOptions options;
   bool valid = false;
 };

@@ -27,14 +27,6 @@ class WmRvsPreparedKey : public PreparedKey {
     valid = true;
   }
 
-  /// Dense gather opt-out (DESIGN.md §10): WM-RVS re-derives a keyed digit
-  /// for *every* suspect token — the key determines positions, not a token
-  /// set — so there is no vocabulary to scatter and the batch engine keeps
-  /// the histogram-path `Detect` for this scheme.
-  const std::vector<Token>* TokenVocabulary() const override {
-    return nullptr;
-  }
-
   WmRvsOptions options;
   bool valid = false;
 };

@@ -48,27 +48,49 @@ PairModulusTable PairModulusTable::Build(const WatermarkSecrets& secrets) {
 
 namespace {
 
-/// The shared pair loop of every table-backed detection path. `has(t)` /
-/// `count(t)` read the suspect-side presence and count of table token `t`;
-/// the histogram and dense-count overloads below differ only in how those
-/// lookups resolve, so their arithmetic — and therefore their output — is
-/// identical by construction.
-template <typename HasCount, typename CountAt>
-DetectResult DetectOverTable(const PairModulusTable& table,
-                             const HasCount& has, const CountAt& count,
+/// `diff mod s` in `[0, s)`, in unsigned arithmetic so every modulus up to
+/// 2^64 - 1 is exact: a forged key's `z` is unbounded above, and the
+/// signed `((diff % s) + s) % s` overflows once `s` passes 2^62. Equal to
+/// that expression wherever it does not overflow. The sign is a coin flip
+/// per pair, so it selects through masks rather than a branch.
+uint64_t Residue(int64_t diff, uint64_t s) {
+  const uint64_t negative = uint64_t{0} - static_cast<uint64_t>(diff < 0);
+  // |diff|, exact for INT64_MIN too (2^63 in unsigned).
+  const uint64_t magnitude =
+      (static_cast<uint64_t>(diff) ^ negative) - negative;
+  const uint64_t r = magnitude % s;
+  // A negative diff with r != 0 wraps to s - r, i.e. r + (s - 2r).
+  const uint64_t wrap =
+      negative & (uint64_t{0} - static_cast<uint64_t>(r != 0));
+  return r + (wrap & (s - r - r));
+}
+
+}  // namespace
+
+DetectResult DetectWatermark(const PairModulusTable::PairEntry* pairs,
+                             size_t n, const uint64_t* counts,
+                             const uint8_t* present,
                              const DetectOptions& options) {
   DetectResult out;
-  if (!table.valid()) return out;
+  if (n == 0) return out;
 
-  for (const PairModulusTable::PairEntry& pair : table.pairs()) {
-    if (!has(pair.token_i) || !has(pair.token_j)) continue;
-    ++out.pairs_found;
+  // Local tallies: `out` may alias the arrays as far as the compiler
+  // knows, so counting into it would store on every pair.
+  size_t found = 0;
+  size_t verified = 0;
+  const double rescale = options.rescale_factor;
+  const uint64_t threshold = options.pair_threshold;
+  const bool symmetric = options.symmetric_residue;
+  for (size_t p = 0; p < n; ++p) {
+    const PairModulusTable::PairEntry& pair = pairs[p];
+    if (!present[pair.token_i] || !present[pair.token_j]) continue;
+    ++found;
 
-    double fi = static_cast<double>(count(pair.token_i));
-    double fj = static_cast<double>(count(pair.token_j));
-    if (options.rescale_factor > 0.0) {
-      fi = std::llround(fi * options.rescale_factor);
-      fj = std::llround(fj * options.rescale_factor);
+    double fi = static_cast<double>(counts[pair.token_i]);
+    double fj = static_cast<double>(counts[pair.token_j]);
+    if (rescale > 0.0) {
+      fi = std::llround(fi * rescale);
+      fj = std::llround(fj * rescale);
     }
 
     const uint64_t s = pair.s;
@@ -77,27 +99,21 @@ DetectResult DetectOverTable(const PairModulusTable& table,
     // The difference may be negative if an attack flipped the pair's
     // order; modular arithmetic on the absolute difference is equivalent
     // under the symmetric option and the honest convention otherwise.
-    int64_t diff = static_cast<int64_t>(fi) - static_cast<int64_t>(fj);
-    uint64_t residue =
-        static_cast<uint64_t>(((diff % static_cast<int64_t>(s)) +
-                               static_cast<int64_t>(s)) %
-                              static_cast<int64_t>(s));
+    const int64_t diff = static_cast<int64_t>(fi) - static_cast<int64_t>(fj);
+    const uint64_t residue = Residue(diff, s);
 
-    bool pass = residue <= options.pair_threshold;
-    if (!pass && options.symmetric_residue) {
-      pass = (s - residue) <= options.pair_threshold;
-    }
-    if (pass) ++out.pairs_verified;
+    bool pass = residue <= threshold;
+    if (!pass && symmetric) pass = (s - residue) <= threshold;
+    if (pass) ++verified;
   }
 
+  out.pairs_found = found;
+  out.pairs_verified = verified;
   out.verified_fraction =
-      static_cast<double>(out.pairs_verified) /
-      static_cast<double>(table.num_pairs());
-  out.accepted = out.pairs_verified >= options.min_pairs;
+      static_cast<double>(verified) / static_cast<double>(n);
+  out.accepted = verified >= options.min_pairs;
   return out;
 }
-
-}  // namespace
 
 DetectResult DetectWatermark(const Histogram& suspect,
                              const PairModulusTable& table,
@@ -105,26 +121,19 @@ DetectResult DetectWatermark(const Histogram& suspect,
   if (!table.valid()) return DetectResult{};
 
   // Gather each distinct token's suspect-side count once per call; the
-  // pair loop is then pure arithmetic over the cached counts and the
+  // pair loop is then pure arithmetic over the flat arrays and the
   // table's precomputed moduli.
   const std::vector<Token>& tokens = table.tokens();
-  std::vector<std::optional<uint64_t>> counts(tokens.size());
+  std::vector<uint64_t> counts(tokens.size(), 0);
+  std::vector<uint8_t> present(tokens.size(), 0);
   for (size_t t = 0; t < tokens.size(); ++t) {
-    counts[t] = suspect.CountOf(tokens[t]);
+    const std::optional<uint64_t> count = suspect.CountOf(tokens[t]);
+    if (!count) continue;
+    counts[t] = *count;
+    present[t] = 1;
   }
-
-  return DetectOverTable(
-      table, [&](uint32_t t) { return counts[t].has_value(); },
-      [&](uint32_t t) { return *counts[t]; }, options);
-}
-
-DetectResult DetectWatermark(const PairModulusTable& table,
-                             const uint32_t* dense_ids,
-                             const uint64_t* counts, const uint8_t* present,
-                             const DetectOptions& options) {
-  return DetectOverTable(
-      table, [&](uint32_t t) { return present[dense_ids[t]] != 0; },
-      [&](uint32_t t) { return counts[dense_ids[t]]; }, options);
+  return DetectWatermark(table.pairs().data(), table.num_pairs(),
+                         counts.data(), present.data(), options);
 }
 
 DetectResult DetectWatermark(const Histogram& suspect,
@@ -163,11 +172,14 @@ DetectResult DetectWatermarkReference(const Histogram& suspect,
     uint64_t s = modulus.Compute(pair.token_i, pair.token_j);
     if (s < 2) continue;  // cannot happen for honestly generated pairs
 
-    int64_t diff = static_cast<int64_t>(fi) - static_cast<int64_t>(fj);
-    uint64_t residue =
-        static_cast<uint64_t>(((diff % static_cast<int64_t>(s)) +
-                               static_cast<int64_t>(s)) %
-                              static_cast<int64_t>(s));
+    // Unsigned residue, written out independently of the engine's
+    // `Residue` helper: exact for every modulus a forged `z` can yield.
+    const int64_t diff = static_cast<int64_t>(fi) - static_cast<int64_t>(fj);
+    const uint64_t magnitude =
+        diff >= 0 ? static_cast<uint64_t>(diff)
+                  : uint64_t{0} - static_cast<uint64_t>(diff);
+    uint64_t residue = magnitude % s;
+    if (diff < 0 && residue != 0) residue = s - residue;
 
     bool pass = residue <= options.pair_threshold;
     if (!pass && options.symmetric_residue) {

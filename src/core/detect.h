@@ -1,6 +1,7 @@
 #ifndef FREQYWM_CORE_DETECT_H_
 #define FREQYWM_CORE_DETECT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -93,25 +94,26 @@ DetectResult DetectWatermark(const Histogram& suspect,
                              const WatermarkSecrets& secrets,
                              const DetectOptions& options);
 
-/// Table-backed detection: the hot path of the batch engine. Byte-identical
-/// to `DetectWatermark(suspect, secrets, options)` when `table` was built
-/// from `secrets` (enforced per scheme by
-/// `tests/exec/prepared_detect_test.cc`).
+/// Table-backed detection. Byte-identical to
+/// `DetectWatermark(suspect, secrets, options)` when `table` was built from
+/// `secrets` (enforced per scheme by `tests/exec/prepared_detect_test.cc`):
+/// it gathers each table token's suspect count into flat arrays once and
+/// runs the pair loop below over them.
 DetectResult DetectWatermark(const Histogram& suspect,
                              const PairModulusTable& table,
                              const DetectOptions& options);
 
-/// Dense-count detection (DESIGN.md §10): the per-suspect count gather is
-/// hoisted out entirely. `dense_ids[t]` maps table token `t` into the
-/// caller's flat arrays — `counts[dense_ids[t]]` is the suspect count of
-/// `table.tokens()[t]`, valid iff `present[dense_ids[t]]` is non-zero. The
-/// batch engine scatters each suspect histogram once for *all* keys, so a
-/// matrix cell costs zero hash probes. Byte-identical to the histogram
-/// overload when the arrays were scattered from the suspect (enforced by
-/// `tests/exec/batch_session_test.cc`).
-DetectResult DetectWatermark(const PairModulusTable& table,
-                             const uint32_t* dense_ids,
-                             const uint64_t* counts, const uint8_t* present,
+/// The one pair loop of every table-backed detection path (DESIGN.md §10):
+/// the token indices of `pairs[0, n)` index the caller's flat arrays —
+/// `counts[t]` is the suspect count of token `t`, valid iff `present[t]`
+/// is non-zero. The histogram overload above gathers into such arrays and
+/// calls this; the batch engine binds each key's pairs to session-wide
+/// dense token ids once and scatters each suspect once for all keys, so a
+/// matrix cell costs zero hash probes. `n == 0` rejects, like an invalid
+/// table.
+DetectResult DetectWatermark(const PairModulusTable::PairEntry* pairs,
+                             size_t n, const uint64_t* counts,
+                             const uint8_t* present,
                              const DetectOptions& options);
 
 /// Convenience overload building the histogram from a raw dataset.

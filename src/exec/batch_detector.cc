@@ -38,8 +38,8 @@ BatchDetector::Session::Session(BatchDetectOptions options,
 void BatchDetector::Session::PrepareKeys() {
   // One scheme per distinct tag (the same `SchemeCache` the serial
   // registry trace uses), populated on the constructing thread so `Drain`
-  // only reads. Per-key detection settings, prepared state and dense id
-  // maps are likewise resolved here — once per session, not per chunk —
+  // only reads. Per-key detection settings, prepared state and bound pair
+  // columns are likewise resolved here — once per session, not per chunk —
   // and stay deterministic regardless of scheduling. Prepared state goes
   // through the shared cache when one is configured, so keys already
   // prepared by an earlier session (or another tenant) cost a lookup.
@@ -49,8 +49,10 @@ void BatchDetector::Session::PrepareKeys() {
   key_status_.assign(keys_.size(), Status::OK());
   key_fingerprint_.assign(
       options_.circuit_breaker != nullptr ? keys_.size() : 0, std::string());
-  dense_ids_.assign(keys_.size(), {});
+  pair_offsets_.assign(keys_.size() + 1, 0);
+  std::vector<uint32_t> dense_ids;  // table token index → dense id
   for (size_t j = 0; j < keys_.size(); ++j) {
+    pair_offsets_[j] = bound_pairs_.size();
     const WatermarkScheme* scheme = schemes_.Get(keys_[j].scheme);
     key_scheme_[j] = scheme;
     if (scheme == nullptr) {
@@ -103,41 +105,55 @@ void BatchDetector::Session::PrepareKeys() {
       continue;
     }
 
-    // Union the key's vocabulary into the session interner. Dense ids are
-    // uint32_t; a union beyond 2^32 distinct tokens is far past any
-    // realistic registry (it would not fit in memory), but degrade to the
-    // histogram path rather than overflow if it ever happens.
-    const std::vector<Token>* vocab = prepared_[j]->TokenVocabulary();
-    if (vocab == nullptr || vocab->empty()) continue;
-    if (vocab_.size() + vocab->size() >
-        std::numeric_limits<uint32_t>::max()) {
+    // Bind the key's pairs: intern its table's tokens into the session's
+    // dense ids and append its pairs with indices remapped to them. Dense
+    // ids are uint32_t; a union beyond 2^32 distinct tokens is far past
+    // any realistic registry (it would not fit in memory), but degrade to
+    // the histogram path rather than overflow if it ever happens.
+    const PairModulusTable* table = prepared_[j]->PairTable();
+    if (table == nullptr || table->num_pairs() == 0) continue;
+    const std::vector<Token>& tokens = table->tokens();
+    if (vocab_.size() + tokens.size() > std::numeric_limits<uint32_t>::max()) {
       continue;
     }
-    dense_ids_[j].reserve(vocab->size());
-    for (const Token& token : *vocab) {
+    dense_ids.clear();
+    for (const Token& token : tokens) {
       auto [it, inserted] =
           vocab_index_.emplace(token, static_cast<uint32_t>(vocab_.size()));
       if (inserted) vocab_.push_back(token);
-      dense_ids_[j].push_back(it->second);
+      dense_ids.push_back(it->second);
+    }
+    for (const PairModulusTable::PairEntry& pair : table->pairs()) {
+      bound_pairs_.push_back(PairModulusTable::PairEntry{
+          dense_ids[pair.token_i], dense_ids[pair.token_j], pair.s});
     }
   }
+  pair_offsets_[keys_.size()] = bound_pairs_.size();
 }
 
 void BatchDetector::Session::ScatterSuspect(const Histogram& suspect,
+                                            size_t block, size_t blocks,
                                             uint64_t* counts,
                                             uint8_t* present) const {
   // Either direction fills the same arrays — the intersection of the
   // suspect's tokens with the union vocabulary — so the choice is purely
-  // a cost call: one hash probe per token on the smaller side.
+  // a cost call: one hash probe per token on the smaller side. Blocks of
+  // distinct tokens write distinct ids, so tiles of one suspect never
+  // overlap.
   if (suspect.num_tokens() < vocab_.size()) {
-    for (const HistogramEntry& entry : suspect.entries()) {
-      auto it = vocab_index_.find(entry.token);
+    // The suspect side is the smaller one: each of the `blocks` shares of
+    // its entries is below `kScatterTile`.
+    const std::vector<HistogramEntry>& entries = suspect.entries();
+    const size_t end = entries.size() * (block + 1) / blocks;
+    for (size_t e = entries.size() * block / blocks; e < end; ++e) {
+      auto it = vocab_index_.find(entries[e].token);
       if (it == vocab_index_.end()) continue;
-      counts[it->second] = entry.count;
+      counts[it->second] = entries[e].count;
       present[it->second] = 1;
     }
   } else {
-    for (size_t id = 0; id < vocab_.size(); ++id) {
+    const size_t end = std::min(vocab_.size(), (block + 1) * kScatterTile);
+    for (size_t id = block * kScatterTile; id < end; ++id) {
       auto count = suspect.CountOf(vocab_[id]);
       if (!count) continue;
       counts[id] = *count;
@@ -232,7 +248,7 @@ size_t BatchDetector::Session::pending_suspects() const {
   return pending_.size();
 }
 
-std::vector<std::vector<DetectResult>> BatchDetector::Session::Drain() {
+std::vector<Histogram> BatchDetector::Session::ClaimPending() {
   // Claim the queue atomically, then detect outside the lock: producers
   // that enqueue while the matrix evaluates land in the next drain instead
   // of blocking on it.
@@ -244,82 +260,24 @@ std::vector<std::vector<DetectResult>> BatchDetector::Session::Drain() {
   // The claim freed the whole pending budget: wake any producer blocked
   // in AddSuspectsBounded.
   pending_cv_.NotifyAll();
-  return Detect(batch);
+  return batch;
+}
+
+std::vector<std::vector<DetectResult>> BatchDetector::Session::Drain() {
+  return Detect(ClaimPending());
 }
 
 std::vector<std::vector<DetectResult>> BatchDetector::Session::Detect(
     const std::vector<Histogram>& suspects) const {
-  std::vector<std::vector<DetectResult>> results(
-      suspects.size(), std::vector<DetectResult>(keys_.size()));
-  if (suspects.empty() || keys_.empty()) return results;
-
-  const bool parallel = pool_ != nullptr && pool_->num_threads() > 0;
-
-  // Phase 1 — scatter: each suspect's counts land in one flat array,
-  // indexed by dense id, built once for *all* keys (suspects are
-  // independent, so the phase shards by suspect). Skipped entirely when no
-  // key exposes a vocabulary.
-  std::vector<std::vector<uint64_t>> flat_counts(suspects.size());
-  std::vector<std::vector<uint8_t>> flat_present(suspects.size());
-  if (!vocab_.empty()) {
-    auto scatter = [&](size_t i) {
-      flat_counts[i].assign(vocab_.size(), 0);
-      flat_present[i].assign(vocab_.size(), 0);
-      ScatterSuspect(suspects[i], flat_counts[i].data(),
-                     flat_present[i].data());
-    };
-    if (parallel) {
-      pool_->ParallelFor(suspects.size(), scatter);
-    } else {
-      for (size_t i = 0; i < suspects.size(); ++i) scatter(i);
-    }
-  }
-
-  // Phase 2 — the matrix: vocabulary keys read counts by index (zero hash
-  // probes per cell), whole-histogram schemes keep the prepared
-  // histogram path. Each cell depends only on (suspect, key, options), so
-  // any schedule yields identical results.
-  auto detect_cell = [&](size_t i, size_t j) {
-    const WatermarkScheme* scheme = key_scheme_[j];
-    // Unregistered tag or failed preparation → rejected (the checked
-    // path reports the reason via key_statuses()).
-    if (scheme == nullptr || prepared_[j] == nullptr) return;
-    if (!dense_ids_[j].empty()) {
-      DenseSuspectCounts dense{flat_counts[i].data(),
-                               flat_present[i].data()};
-      results[i][j] = scheme->Detect(dense, dense_ids_[j].data(),
-                                     *prepared_[j], key_options_[j]);
-    } else {
-      results[i][j] =
-          scheme->Detect(suspects[i], *prepared_[j], key_options_[j]);
-    }
-  };
-
-  if (!parallel) {
-    for (size_t i = 0; i < suspects.size(); ++i) {
-      for (size_t j = 0; j < keys_.size(); ++j) detect_cell(i, j);
-    }
-    return results;
-  }
-
-  const size_t cells = suspects.size() * keys_.size();
-  pool_->ParallelFor(cells, [&](size_t c) {
-    detect_cell(c / keys_.size(), c % keys_.size());
-  });
-  return results;
+  SessionDrainResult out;
+  // Unchecked: never interrupted and no fault site, so the status is OK.
+  (void)EvaluateTiles(suspects, /*checked=*/false, InterruptContext{}, out);
+  return std::move(out.verdicts);
 }
 
 SessionDrainResult BatchDetector::Session::DrainChecked(
     const InterruptContext& interrupt) {
-  std::vector<Histogram> batch;
-  {
-    MutexLock lock(pending_mutex_);
-    batch.swap(pending_);
-  }
-  // The claim freed the whole pending budget: wake any producer blocked
-  // in AddSuspectsBounded.
-  pending_cv_.NotifyAll();
-  return DetectChecked(batch, interrupt);
+  return DetectChecked(ClaimPending(), interrupt);
 }
 
 SessionDrainResult BatchDetector::Session::DetectChecked(
@@ -327,84 +285,7 @@ SessionDrainResult BatchDetector::Session::DetectChecked(
     const InterruptContext& interrupt) const {
   SessionDrainResult out;
   out.key_status = key_status_;
-  out.verdicts.assign(suspects.size(),
-                      std::vector<DetectResult>(keys_.size()));
-  out.evaluated.assign(suspects.size() * keys_.size(), 0);
-  if (suspects.empty() || keys_.empty()) return out;
-  out.status = interrupt.Check();
-  if (!out.status.ok()) return out;
-
-  const bool parallel = pool_ != nullptr && pool_->num_threads() > 0;
-
-  // Phase 1 — scatter (see Detect). An interruption here yields no
-  // evaluated cells: the flat arrays are an all-or-nothing precondition
-  // of the matrix phase.
-  std::vector<std::vector<uint64_t>> flat_counts(suspects.size());
-  std::vector<std::vector<uint8_t>> flat_present(suspects.size());
-  if (!vocab_.empty()) {
-    auto scatter = [&](size_t i) {
-      flat_counts[i].assign(vocab_.size(), 0);
-      flat_present[i].assign(vocab_.size(), 0);
-      ScatterSuspect(suspects[i], flat_counts[i].data(),
-                     flat_present[i].data());
-      return Status::OK();
-    };
-    if (parallel) {
-      out.status = pool_->ParallelForChecked(suspects.size(), interrupt,
-                                             scatter);
-    } else {
-      for (size_t i = 0; i < suspects.size() && out.status.ok(); ++i) {
-        out.status = interrupt.Check();
-        if (out.status.ok()) out.status = scatter(i);
-      }
-    }
-    if (!out.status.ok()) return out;
-  }
-
-  // Phase 2 — the matrix, with per-cell isolation (DESIGN.md §13): a
-  // failing cell records a typed error under `errors_mutex` and the body
-  // returns OK, so one bad cell never aborts the drain; only a
-  // cancellation/deadline stops the loop (within one cell's work — the
-  // shard quantum of this phase).
-  Mutex errors_mutex;
-  std::vector<SessionCellError>& cell_errors = out.cell_errors;
-  auto detect_cell_checked = [&](size_t c) {
-    const size_t i = c / keys_.size();
-    const size_t j = c % keys_.size();
-    if (!key_status_[j].ok()) return Status::OK();  // poisoned column
-    Status cell = FREQYWM_FAULT_STATUS_KEYED("session/detect_cell",
-                                             static_cast<uint64_t>(c));
-    if (!cell.ok()) {
-      MutexLock lock(errors_mutex);
-      cell_errors.push_back(SessionCellError{i, j, std::move(cell)});
-      return Status::OK();
-    }
-    const WatermarkScheme* scheme = key_scheme_[j];
-    if (!dense_ids_[j].empty()) {
-      DenseSuspectCounts dense{flat_counts[i].data(),
-                               flat_present[i].data()};
-      out.verdicts[i][j] = scheme->Detect(dense, dense_ids_[j].data(),
-                                          *prepared_[j], key_options_[j]);
-    } else {
-      out.verdicts[i][j] =
-          scheme->Detect(suspects[i], *prepared_[j], key_options_[j]);
-    }
-    out.evaluated[c] = 1;
-    return Status::OK();
-  };
-
-  const size_t cells = suspects.size() * keys_.size();
-  if (parallel) {
-    out.status = pool_->ParallelForChecked(cells, interrupt,
-                                           detect_cell_checked);
-  } else {
-    for (size_t c = 0; c < cells; ++c) {
-      out.status = interrupt.Check();
-      if (!out.status.ok()) break;
-      out.status = detect_cell_checked(c);
-      if (!out.status.ok()) break;
-    }
-  }
+  out.status = EvaluateTiles(suspects, /*checked=*/true, interrupt, out);
 
   // Deterministic error report order regardless of which thread recorded
   // which cell first.
@@ -417,32 +298,127 @@ SessionDrainResult BatchDetector::Session::DetectChecked(
   return out;
 }
 
+Status BatchDetector::Session::ForEachTile(
+    size_t n, bool checked, const InterruptContext& interrupt,
+    const std::function<Status(size_t)>& body) const {
+  const bool parallel = pool_ != nullptr && pool_->num_threads() > 0;
+  if (parallel && checked) {
+    return pool_->ParallelForChecked(n, interrupt, body);
+  }
+  if (parallel) {
+    pool_->ParallelFor(n, [&](size_t t) { (void)body(t); });
+    return Status::OK();
+  }
+  for (size_t t = 0; t < n; ++t) {
+    if (checked) FREQYWM_RETURN_NOT_OK(interrupt.Check());
+    FREQYWM_RETURN_NOT_OK(body(t));
+  }
+  return Status::OK();
+}
+
+Status BatchDetector::Session::EvaluateTiles(
+    const std::vector<Histogram>& suspects, bool checked,
+    const InterruptContext& interrupt, SessionDrainResult& out) const {
+  const size_t num_keys = keys_.size();
+  const size_t cells = suspects.size() * num_keys;
+  out.verdicts.assign(suspects.size(), std::vector<DetectResult>(num_keys));
+  out.evaluated.assign(cells, 0);
+  if (cells == 0) return Status::OK();
+  if (checked) FREQYWM_RETURN_NOT_OK(interrupt.Check());
+
+  // Phase 1 — scatter: each suspect's counts land in its row of one flat
+  // array, indexed by dense id and built once for *all* bound columns.
+  // Tiles are (suspect × share of the smaller side), so even a
+  // one-suspect drain spreads its probes over the pool. An interruption
+  // here yields no evaluated cells: the arrays are an all-or-nothing
+  // precondition of the matrix phase.
+  const size_t vocab = vocab_.size();
+  std::vector<uint64_t> counts(suspects.size() * vocab, 0);
+  std::vector<uint8_t> present(suspects.size() * vocab, 0);
+  if (vocab > 0) {
+    const size_t blocks = (vocab + kScatterTile - 1) / kScatterTile;
+    FREQYWM_RETURN_NOT_OK(ForEachTile(
+        suspects.size() * blocks, checked, interrupt, [&](size_t t) {
+          const size_t i = t / blocks;
+          ScatterSuspect(suspects[i], t % blocks, blocks,
+                         counts.data() + i * vocab, present.data() + i * vocab);
+          return Status::OK();
+        }));
+  }
+
+  // Phase 2 — the matrix, in tiles of `kCellTile` consecutive row-major
+  // cells. A bound column is the pair loop over the suspect's flat row;
+  // any other column keeps its scheme's prepared histogram path. Each
+  // cell depends only on (suspect, key, options), so any schedule yields
+  // identical results. Checked, a failing cell records a typed error
+  // under `errors_mutex` and the tile carries on (DESIGN.md §13): one bad
+  // cell never aborts the drain, only a cancellation/deadline stops it.
+  Mutex errors_mutex;
+  auto detect_tile = [&](size_t t) {
+    const size_t begin = t * kCellTile;
+    const size_t end = std::min(cells, begin + kCellTile);
+    size_t i = begin / num_keys;
+    size_t j = begin % num_keys;
+    for (size_t c = begin; c < end; ++c) {
+      if (key_status_[j].ok()) {  // else a poisoned column: no cell
+        Status cell =
+            checked ? FREQYWM_FAULT_STATUS_KEYED("session/detect_cell",
+                                                 static_cast<uint64_t>(c))
+                    : Status::OK();
+        if (!cell.ok()) {
+          MutexLock lock(errors_mutex);
+          out.cell_errors.push_back(SessionCellError{i, j, std::move(cell)});
+        } else {
+          const size_t first = pair_offsets_[j];
+          const size_t last = pair_offsets_[j + 1];
+          out.verdicts[i][j] =
+              first != last
+                  ? DetectWatermark(bound_pairs_.data() + first, last - first,
+                                    counts.data() + i * vocab,
+                                    present.data() + i * vocab,
+                                    key_options_[j])
+                  : key_scheme_[j]->Detect(suspects[i], *prepared_[j],
+                                           key_options_[j]);
+          out.evaluated[c] = 1;
+        }
+      }
+      if (++j == num_keys) {
+        j = 0;
+        ++i;
+      }
+    }
+    return Status::OK();
+  };
+  return ForEachTile((cells + kCellTile - 1) / kCellTile, checked, interrupt,
+                     detect_tile);
+}
+
 void BatchDetector::Session::RecordColumnOutcomes(
     const SessionDrainResult& result) const {
   if (options_.circuit_breaker == nullptr || keys_.empty()) return;
-  const size_t rows =
-      keys_.empty() ? 0 : result.evaluated.size() / keys_.size();
+  // One pass over the drain: per column, whether any cell failed and
+  // whether any evaluated. Then one breaker call for all columns.
   std::vector<uint8_t> column_failed(keys_.size(), 0);
   for (const SessionCellError& error : result.cell_errors) {
     if (error.key < keys_.size()) column_failed[error.key] = 1;
   }
+  std::vector<uint8_t> column_evaluated(keys_.size(), 0);
+  for (size_t row = 0; row < result.evaluated.size(); row += keys_.size()) {
+    for (size_t j = 0; j < keys_.size(); ++j) {
+      column_evaluated[j] |= result.evaluated[row + j];
+    }
+  }
+  std::vector<KeyCircuitBreaker::Outcome> outcomes;
   for (size_t j = 0; j < keys_.size(); ++j) {
     if (!key_status_[j].ok()) continue;  // poisoned/quarantined column
-    if (column_failed[j]) {
-      options_.circuit_breaker->RecordFailure(key_fingerprint_[j]);
-      continue;
-    }
-    bool evaluated_any = false;
-    for (size_t i = 0; i < rows && !evaluated_any; ++i) {
-      evaluated_any = result.evaluated[i * keys_.size() + j] != 0;
-    }
     // A cleanly evaluated column is end-to-end evidence the key is
     // healthy; an interrupted drain that never reached the column is
     // evidence of nothing.
-    if (evaluated_any) {
-      options_.circuit_breaker->RecordSuccess(key_fingerprint_[j]);
+    if (column_failed[j] || column_evaluated[j]) {
+      outcomes.push_back({key_fingerprint_[j], column_failed[j] != 0});
     }
   }
+  options_.circuit_breaker->RecordOutcomes(outcomes);
 }
 
 // ------------------------------------------------------------------- Run

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -104,12 +105,14 @@ struct BatchDetectOptions {
 /// across threads (`Detect` is const and stateless for every in-tree
 /// scheme; out-of-tree schemes joining the factory must keep it so). Each
 /// key is `Prepare`d once up front — through the shared `key_cache` when
-/// one is configured — and keys exposing a `TokenVocabulary` run through
-/// the dense count gather: the union vocabulary is interned into dense ids,
-/// each suspect histogram is scattered into a flat count vector once, and
-/// every matrix cell then reads counts by index — zero hash probes per
-/// cell (DESIGN.md §10). Keys whose scheme tag is not registered yield a
-/// default (rejected) `DetectResult`, matching the serial
+/// one is configured — and the stored pairs of keys exposing a
+/// `PairTable` are bound to session-wide dense token ids: the union of
+/// their tokens is interned once, each suspect histogram is scattered into
+/// a flat count vector once, and every such matrix cell is the pair loop
+/// over the bound column — zero hash probes, no virtual call (DESIGN.md
+/// §10). The matrix runs in tiles of cells, one work claim and one
+/// interruption poll per tile. Keys whose scheme tag is not registered
+/// yield a default (rejected) `DetectResult`, matching the serial
 /// `FingerprintRegistry::Trace` convention of skipping them.
 ///
 /// Determinism contract: `result[i][j]` depends only on
@@ -128,8 +131,8 @@ class BatchDetector {
   /// surfaced suspect copies trickle in. The session holds the expensive
   /// state across chunks: the thread pool, the prepared keys (resolved
   /// through the shared `PreparedKeyCache` when configured, so a later
-  /// session over the same keys starts warm), and the dense-gather
-  /// interner with the per-key dense id maps.
+  /// session over the same keys starts warm), the dense-id interner and
+  /// the bound pair columns.
   ///
   /// `Drain` output is element-wise identical to a one-shot `Run` over the
   /// concatenated chunks, for any chunking, thread count and cache state.
@@ -198,12 +201,14 @@ class BatchDetector {
         const std::vector<Histogram>& suspects) const;
 
     /// The failure-aware drain (DESIGN.md §13): claims the pending queue
-    /// like `Drain`, but honors `interrupt` at every cell boundary and
-    /// isolates per-key / per-cell failures instead of assuming them
-    /// away. Claimed suspects are consumed even when the drain is
-    /// interrupted — the caller inspects `evaluated` to see which cells
-    /// completed. For a clean, uninterrupted run over all-OK keys, the
-    /// verdicts are element-wise identical to `Drain()`.
+    /// like `Drain`, but honors `interrupt` at every tile boundary — an
+    /// interruption is noticed within one tile (`kCellTile` cells, or one
+    /// scatter tile), not one cell — and isolates per-key / per-cell
+    /// failures instead of assuming them away. Claimed suspects are
+    /// consumed even when the drain is interrupted — the caller inspects
+    /// `evaluated` to see which cells completed. For a clean,
+    /// uninterrupted run over all-OK keys, the verdicts are element-wise
+    /// identical to `Drain()`.
     SessionDrainResult DrainChecked(const InterruptContext& interrupt);
 
     /// Failure-aware one-shot detection; `DrainChecked` is implemented on
@@ -231,21 +236,46 @@ class BatchDetector {
 
     const std::vector<SchemeKey>& keys() const { return keys_; }
 
-    /// Size of the interned union vocabulary (0 when no key exposes one).
+    /// Size of the interned union vocabulary (0 when no key exposes a
+    /// `PairTable`).
     size_t vocabulary_size() const { return vocab_.size(); }
+
+    /// Work quanta of the drain (fixed, not options): a scatter tile is
+    /// one suspect × `kScatterTile` probes, a matrix tile `kCellTile`
+    /// consecutive cells of the row-major cell index.
+    static constexpr size_t kScatterTile = 512;
+    static constexpr size_t kCellTile = 256;
 
    private:
     void PrepareKeys();
-    /// Feeds one drained column's outcome back to the shared circuit
-    /// breaker (no-op without one): a column that evaluated at least one
-    /// cell cleanly records a success, a column with cell errors records
-    /// a failure.
+    /// Takes the whole pending queue and wakes blocked producers.
+    std::vector<Histogram> ClaimPending();
+    /// The tile routine behind `Detect` and `DetectChecked`: shapes
+    /// `out.verdicts`/`out.evaluated`, scatters `suspects`, then
+    /// evaluates the matrix into `out`. `checked` selects the
+    /// failure-aware contract — polls `interrupt` per tile and runs the
+    /// `session/detect_cell` fault site per cell; unchecked, neither
+    /// runs. Returns the drain-level status.
+    Status EvaluateTiles(const std::vector<Histogram>& suspects, bool checked,
+                         const InterruptContext& interrupt,
+                         SessionDrainResult& out) const;
+    /// Runs `body(t)` for every tile `t < n`, over the pool when there is
+    /// one; `checked` adds the per-tile interruption poll and shard fault
+    /// site of `ParallelForChecked`.
+    Status ForEachTile(size_t n, bool checked,
+                       const InterruptContext& interrupt,
+                       const std::function<Status(size_t)>& body) const;
+    /// Feeds the drained columns' outcomes back to the shared circuit
+    /// breaker in one call (no-op without one): a column that evaluated
+    /// at least one cell cleanly records a success, a column with cell
+    /// errors records a failure.
     void RecordColumnOutcomes(const SessionDrainResult& result) const;
-    /// Scatters `suspect` into flat per-vocabulary-id arrays, probing
-    /// whichever side (suspect histogram vs union vocabulary) is smaller;
-    /// both directions fill identical arrays.
-    void ScatterSuspect(const Histogram& suspect, uint64_t* counts,
-                        uint8_t* present) const;
+    /// Scatters share `block` of `blocks` of `suspect` into its flat
+    /// per-dense-id arrays, probing from whichever side (suspect
+    /// histogram vs union vocabulary) is smaller; both directions fill
+    /// identical arrays, at most `kScatterTile` probes per block.
+    void ScatterSuspect(const Histogram& suspect, size_t block, size_t blocks,
+                        uint64_t* counts, uint8_t* present) const;
 
     BatchDetectOptions options_;
     std::vector<SchemeKey> keys_;
@@ -259,12 +289,15 @@ class BatchDetector {
     /// configured.
     std::vector<std::string> key_fingerprint_;
 
-    /// Dense-gather state: the union of the keys' vocabularies interned
-    /// into ids `[0, vocab_.size())`, and per key the map from its
-    /// vocabulary index to the dense id (empty → histogram-path key).
+    /// Bound pair columns: the tokens of every key's `PairTable` interned
+    /// into dense ids `[0, vocab_.size())`, and all those keys' pairs,
+    /// token indices remapped to dense ids, in one array. Column `j`'s
+    /// pairs are `[pair_offsets_[j], pair_offsets_[j + 1])`; the range is
+    /// empty for a column detected through the scheme's histogram path.
     std::vector<Token> vocab_;
     std::unordered_map<Token, uint32_t> vocab_index_;
-    std::vector<std::vector<uint32_t>> dense_ids_;
+    std::vector<PairModulusTable::PairEntry> bound_pairs_;
+    std::vector<size_t> pair_offsets_;
 
     /// Producer-side state: the only mutable-after-construction session
     /// state, guarded so request handlers can enqueue concurrently. The

@@ -42,13 +42,33 @@ Status KeyCircuitBreaker::Allow(std::string_view key) {
 
 void KeyCircuitBreaker::RecordSuccess(std::string_view key) {
   MutexLock lock(mu_);
+  RecordSuccessLocked(key);
+}
+
+void KeyCircuitBreaker::RecordFailure(std::string_view key) {
+  MutexLock lock(mu_);
+  RecordFailureLocked(key);
+}
+
+void KeyCircuitBreaker::RecordOutcomes(const std::vector<Outcome>& outcomes) {
+  if (outcomes.empty()) return;
+  MutexLock lock(mu_);
+  for (const Outcome& outcome : outcomes) {
+    if (outcome.failed) {
+      RecordFailureLocked(outcome.key);
+    } else {
+      RecordSuccessLocked(outcome.key);
+    }
+  }
+}
+
+void KeyCircuitBreaker::RecordSuccessLocked(std::string_view key) {
   auto it = keys_.find(key);
   if (it == keys_.end()) return;
   keys_.erase(it);
 }
 
-void KeyCircuitBreaker::RecordFailure(std::string_view key) {
-  MutexLock lock(mu_);
+void KeyCircuitBreaker::RecordFailureLocked(std::string_view key) {
   auto [it, inserted] = keys_.emplace(std::string(key), KeyState{});
   KeyState& state = it->second;
   ++state.consecutive_failures;

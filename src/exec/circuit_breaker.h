@@ -7,6 +7,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/mutex.h"
 #include "common/status.h"
@@ -82,6 +83,17 @@ class KeyCircuitBreaker {
   /// re-trips immediately).
   void RecordFailure(std::string_view key);
 
+  /// One key's outcome for `RecordOutcomes`.
+  struct Outcome {
+    std::string_view key;
+    bool failed = false;
+  };
+
+  /// Records `outcomes` in order under one lock acquisition — the state
+  /// afterwards equals calling `RecordFailure`/`RecordSuccess` for each in
+  /// turn. The batch engine feeds a whole drain's columns back this way.
+  void RecordOutcomes(const std::vector<Outcome>& outcomes);
+
   CircuitBreakerStats stats() const;
 
   const CircuitBreakerOptions& options() const { return options_; }
@@ -95,6 +107,8 @@ class KeyCircuitBreaker {
   };
 
   int64_t Now() const;
+  void RecordSuccessLocked(std::string_view key) REQUIRES(mu_);
+  void RecordFailureLocked(std::string_view key) REQUIRES(mu_);
 
   const CircuitBreakerOptions options_;
   mutable Mutex mu_;

@@ -204,6 +204,43 @@ TEST(TenantTest, TrySubmitRacingDrainsLeavesNoUnitsInFlight) {
   EXPECT_EQ(tenant.Health().admission.in_flight, 0u);
 }
 
+TEST(TenantTest, BlockingSubmitRacingDrainsLeavesNoUnitsInFlight) {
+  // The blocking twin of the race above. `Submit` cannot hold the
+  // session's permit lock across its blocking enqueue, so a drain may
+  // claim and release its rows before the permit is recorded; the rows
+  // it released ahead must be paid off when the permit lands.
+  constexpr size_t kSubmitters = 8;
+  constexpr size_t kSubmitsEach = 20000;
+  TenantContext tenant("acme");
+  auto session = tenant.OpenSession();
+  ASSERT_TRUE(session.ok());
+  TenantSession& s = *session.value();
+
+  std::atomic<size_t> running{kSubmitters};
+  std::atomic<size_t> failed{0};
+  std::thread drainer([&] {
+    while (running.load() > 0) (void)s.DrainChecked(InterruptContext{});
+  });
+  std::vector<std::thread> submitters;
+  for (size_t t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&] {
+      for (size_t i = 0; i < kSubmitsEach; ++i) {
+        if (!s.Submit(std::vector<Histogram>(1), InterruptContext{}).ok()) {
+          ++failed;
+        }
+      }
+      --running;
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+  drainer.join();
+  (void)s.DrainChecked(InterruptContext{});
+
+  EXPECT_EQ(failed.load(), 0u);
+  EXPECT_EQ(s.pending_suspects(), 0u);
+  EXPECT_EQ(tenant.Health().admission.in_flight, 0u);
+}
+
 TEST(TenantTest, CacheSliceIsSizedByQuotaAndPrivate) {
   TenantQuotas quotas;
   quotas.max_cache_entries = 7;

@@ -2,10 +2,10 @@
 // end must produce element-wise identical `DetectResult`s to the serial
 // per-cell `Detect` loop for every registered scheme, at any thread
 // count, any chunking of the suspect stream, and any `PreparedKeyCache`
-// state (cold, warm, mid-eviction). Also covers the dense count gather:
-// for vocabulary schemes (FreqyWM) the session's per-cell path is the
-// zero-hash-probe dense overload, so these identities are what pins it to
-// the histogram path bit for bit.
+// state (cold, warm, mid-eviction). Also covers the bound pair columns:
+// for `PairTable` schemes (FreqyWM) a session cell is the pair loop over
+// the key's pairs bound to dense ids, never the scheme's `Detect`, so
+// these identities are what pins it to the histogram path bit for bit.
 
 #include "exec/batch_detector.h"
 
@@ -152,9 +152,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(BatchSessionTest, MixedSchemeStreamSharesOneCacheAndInterner) {
-  // All schemes in one key column: vocabulary keys (FreqyWM) take the
-  // dense path, whole-histogram baselines the prepared path, side by side
-  // in the same chunked stream.
+  // All schemes in one key column: bound pair columns (FreqyWM) and the
+  // whole-histogram baselines' prepared path, side by side in the same
+  // chunked stream.
   Histogram original = MakeCleanHistogram(13);
   std::vector<SchemeKey> keys;
   std::vector<Histogram> suspects{original};

@@ -8,8 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include "common/random.h"
+#include "core/secrets.h"
+#include "crypto/secret.h"
+#include "datagen/power_law.h"
+#include "exec/batch_detector.h"
+#include "exec/prepared_key_cache.h"
 
 namespace freqywm {
 namespace {
@@ -139,6 +147,113 @@ TEST(CircuitBreakerTest, ConcurrentRecordingIsSafe) {
   // No crash/race (TSan) and the stats stay internally consistent.
   CircuitBreakerStats stats = breaker.stats();
   EXPECT_LE(stats.open_keys, 2u);
+}
+
+/// Calls `Allow` on every key of both breakers and compares the answers,
+/// then their stats.
+void ExpectSameState(KeyCircuitBreaker& a, KeyCircuitBreaker& b,
+                     const std::vector<std::string>& keys) {
+  for (const std::string& key : keys) {
+    EXPECT_EQ(a.Allow(key).ok(), b.Allow(key).ok()) << key;
+  }
+  const CircuitBreakerStats sa = a.stats();
+  const CircuitBreakerStats sb = b.stats();
+  EXPECT_EQ(sa.open_keys, sb.open_keys);
+  EXPECT_EQ(sa.trips, sb.trips);
+  EXPECT_EQ(sa.rejections, sb.rejections);
+}
+
+TEST(CircuitBreakerTest, RecordOutcomesEqualsPerKeyRecording) {
+  FakeClockBreaker clock;
+  KeyCircuitBreaker batched = clock.Make(2, seconds(1));
+  KeyCircuitBreaker single = clock.Make(2, seconds(1));
+  // Repeats, a trip, a success that heals and failures that resume.
+  const std::vector<KeyCircuitBreaker::Outcome> outcomes = {
+      {"key-a", true},  {"key-b", false}, {"key-a", true}, {"key-c", true},
+      {"key-c", false}, {"key-c", true},  {"key-b", true}, {"key-d", false}};
+  batched.RecordOutcomes(outcomes);
+  batched.RecordOutcomes({});
+  for (const KeyCircuitBreaker::Outcome& outcome : outcomes) {
+    if (outcome.failed) {
+      single.RecordFailure(outcome.key);
+    } else {
+      single.RecordSuccess(outcome.key);
+    }
+  }
+  const std::vector<std::string> keys = {"key-a", "key-b", "key-c", "key-d"};
+  ExpectSameState(batched, single, keys);
+  // Same streaks too: one more failure each trips exactly the same keys.
+  for (const std::string& key : keys) {
+    batched.RecordFailure(key);
+    single.RecordFailure(key);
+  }
+  ExpectSameState(batched, single, keys);
+}
+
+TEST(CircuitBreakerTest, DrainFeedbackEqualsPerColumnRecording) {
+  // A session drain records every column's outcome in one breaker call;
+  // the state must equal a breaker fed the same outcomes column by column
+  // (Allow per key at preparation, RecordSuccess per evaluated column).
+  Rng rng(7);
+  PowerLawSpec spec;
+  spec.num_tokens = 120;
+  spec.sample_size = 40000;
+  Histogram suspect = GeneratePowerLawHistogram(spec, rng);
+  std::vector<SchemeKey> keys;
+  for (uint64_t k = 0; k < 4; ++k) {
+    WatermarkSecrets secrets;
+    secrets.r = GenerateSecret(256, 11 + k);
+    secrets.z = 67;
+    for (size_t p = 0; p < 10; ++p) {
+      secrets.pairs.push_back(SecretPair{suspect.entry(2 * p + k).token,
+                                         suspect.entry(2 * p + k + 40).token});
+    }
+    keys.push_back(SchemeKey{"freqywm", secrets.Serialize()});
+  }
+  keys.push_back(SchemeKey{"no-such-scheme", "payload"});
+  std::vector<std::string> fingerprints;
+  for (const SchemeKey& key : keys) {
+    fingerprints.push_back(PreparedKeyCache::Fingerprint(key));
+  }
+
+  FakeClockBreaker clock;
+  auto drained = std::make_shared<KeyCircuitBreaker>([&] {
+    CircuitBreakerOptions options;
+    options.failure_threshold = 3;
+    options.cooldown = seconds(1);
+    options.clock_nanos = [&clock] { return clock.now_nanos; };
+    return options;
+  }());
+  KeyCircuitBreaker per_column = clock.Make(3, seconds(1));
+  // History: key 0 two failures, key 1 one, key 2 open (quarantined).
+  for (KeyCircuitBreaker* breaker : {drained.get(), &per_column}) {
+    for (int f = 0; f < 2; ++f) breaker->RecordFailure(fingerprints[0]);
+    breaker->RecordFailure(fingerprints[1]);
+    for (int f = 0; f < 3; ++f) breaker->RecordFailure(fingerprints[2]);
+  }
+
+  BatchDetectOptions options;
+  options.num_threads = 2;
+  options.circuit_breaker = drained;
+  BatchDetector::Session session(options, keys);
+  session.AddSuspect(suspect);
+  SessionDrainResult result = session.DrainChecked(InterruptContext{});
+  ASSERT_TRUE(result.status.ok());
+  EXPECT_FALSE(result.key_status[2].ok());  // quarantined
+
+  for (size_t j = 0; j < 4; ++j) {
+    if (per_column.Allow(fingerprints[j]).ok()) {
+      per_column.RecordSuccess(fingerprints[j]);
+    }
+  }
+  const std::vector<std::string> probe(fingerprints.begin(),
+                                       fingerprints.begin() + 4);
+  ExpectSameState(*drained, per_column, probe);
+  for (const std::string& fingerprint : probe) {
+    drained->RecordFailure(fingerprint);
+    per_column.RecordFailure(fingerprint);
+  }
+  ExpectSameState(*drained, per_column, probe);
 }
 
 }  // namespace
