@@ -5,7 +5,9 @@
 // selection strategies, end-to-end generation, detection (uncached
 // reference vs the per-key modulus table), and the dataset transform
 // (serial oracle vs the sharded overload that reuses the source histogram),
-// and the batch engine's session drain in the trace workload's shape.
+// the batch engine's session drain in the trace workload's shape (on
+// borrowed suspects, and on claimed ones it destroys), and a suspect
+// histogram copy.
 //
 // After the google-benchmark run, main() executes the pair-enumeration
 // acceptance harness (ISSUE 3): BuildEligiblePairsReference vs
@@ -419,6 +421,45 @@ void BM_SessionDrain(benchmark::State& state) {
 }
 BENCHMARK(BM_SessionDrain)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// The drain as the trace workload pays for it: copies of `range(0)`
+// suspects are enqueued untimed, then `DrainChecked` claims and owns
+// them, so the timed region includes destroying the claimed histograms.
+void BM_SessionDrainOwned(benchmark::State& state) {
+  const SessionDrainFixture& f = GetSessionDrainFixture();
+  const size_t batch = static_cast<size_t>(state.range(0));
+  const std::vector<Histogram> suspects(f.suspects.begin(),
+                                        f.suspects.begin() + batch);
+  for (auto _ : state) {
+    state.PauseTiming();
+    f.session->AddSuspects(suspects);
+    state.ResumeTiming();
+    SessionDrainResult r = f.session->DrainChecked(InterruptContext{});
+    benchmark::DoNotOptimize(r.verdicts.data());
+  }
+  state.counters["suspects/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * static_cast<double>(batch),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SessionDrainOwned)->Arg(1)->Arg(8)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// Copying and destroying one suspect: the 11,476-token eyeWnder stand-in
+// the drain fixture traces first.
+void BM_HistogramCopy(benchmark::State& state) {
+  static const Histogram* stand_in = [] {
+    Rng rng(22);
+    return new Histogram(MakeEyeWnderLikeHistogram(rng));
+  }();
+  const Histogram& suspect = *stand_in;
+  for (auto _ : state) {
+    Histogram copy = suspect;
+    benchmark::DoNotOptimize(copy.entries().data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(suspect.num_tokens()));
+}
+BENCHMARK(BM_HistogramCopy)->Unit(benchmark::kMicrosecond);
 
 // ------------------------------------------------------------------------
 // Pair-enumeration acceptance harness (runs after the google-benchmark

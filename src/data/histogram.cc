@@ -2,9 +2,29 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <unordered_map>
 
 namespace freqywm {
 namespace {
+
+// Width of a slot's rank field for `num_tokens` entries: 32 bits, or as
+// many as `num_tokens` (the largest stored `rank + 1`) needs. The tag
+// keeps the remaining high bits, so a histogram past 2^32 - 1 tokens
+// trades tag bits for rank bits instead of truncating ranks.
+constexpr int RankBits(uint64_t num_tokens) {
+  int bits = 32;
+  while (bits < 64 && (num_tokens >> bits) != 0) ++bits;
+  return bits;
+}
+static_assert(RankBits(0) == 32, "empty histogram");
+static_assert(RankBits(0xFFFFFFFFull) == 32, "largest 32-bit rank + 1");
+static_assert(RankBits(0x100000000ull) == 33, "first token past 32 bits");
+static_assert(RankBits(~0ull) == 64, "rank field never overflows");
+
+uint64_t HashOf(const Token& token) {
+  return static_cast<uint64_t>(std::hash<Token>{}(token));
+}
 
 void SortDescending(std::vector<HistogramEntry>& entries) {
   std::sort(entries.begin(), entries.end(),
@@ -37,56 +57,98 @@ Result<Histogram> Histogram::FromCounts(std::vector<HistogramEntry> entries) {
   h.entries_ = std::move(entries);
   SortDescending(h.entries_);
   uint64_t total = 0;
-  for (size_t i = 0; i < h.entries_.size(); ++i) {
-    if (h.entries_[i].count == 0) {
+  for (const HistogramEntry& e : h.entries_) {
+    if (e.count == 0) {
       return Status::InvalidArgument("histogram entry with zero count");
     }
-    if (i > 0 && h.entries_[i].token == h.entries_[i - 1].token) {
-      return Status::InvalidArgument("duplicate token in histogram: " +
-                                     h.entries_[i].token);
-    }
-    total += h.entries_[i].count;
+    total += e.count;
+  }
+  // Equal tokens with different counts need not sort next to each other;
+  // the index meets every repeat.
+  const size_t repeat = h.RebuildIndex();
+  if (repeat != kAbsent) {
+    return Status::InvalidArgument("duplicate token in histogram: " +
+                                   h.entries_[repeat].token);
   }
   h.total_ = total;
-  h.RebuildIndex();
   return h;
 }
 
-void Histogram::RebuildIndex() {
-  index_.clear();
-  index_.reserve(entries_.size());
-  for (size_t i = 0; i < entries_.size(); ++i) index_[entries_[i].token] = i;
+size_t Histogram::RebuildIndex() {
+  const size_t n = entries_.size();
+  size_t repeat = kAbsent;
+  slots_.clear();
+  if (n == 0) return repeat;
+  const int rank_bits = RankBits(n);
+  tag_mask_ = rank_bits < 64 ? ~uint64_t{0} << rank_bits : 0;
+  size_t size = 2;
+  while (size < 2 * n) size *= 2;
+  slots_.assign(size, 0);
+  const size_t mask = size - 1;
+  for (size_t rank = 0; rank < n; ++rank) {
+    const uint64_t hash = HashOf(entries_[rank].token);
+    const uint64_t slot = (hash & tag_mask_) | (rank + 1);
+    for (size_t s = hash & mask;; s = (s + 1) & mask) {
+      const uint64_t held = slots_[s];
+      if (held == 0) {
+        slots_[s] = slot;
+        break;
+      }
+      if (((held ^ hash) & tag_mask_) == 0 &&
+          entries_[(held & ~tag_mask_) - 1].token == entries_[rank].token) {
+        // A repeated token: the last index wins.
+        if (repeat == kAbsent) repeat = rank;
+        slots_[s] = slot;
+        break;
+      }
+    }
+  }
+  return repeat;
+}
+
+size_t Histogram::Find(const Token& token) const {
+  if (slots_.empty()) return kAbsent;
+  const uint64_t hash = HashOf(token);
+  const size_t mask = slots_.size() - 1;
+  for (size_t s = hash & mask;; s = (s + 1) & mask) {
+    const uint64_t held = slots_[s];
+    if (held == 0) return kAbsent;
+    if (((held ^ hash) & tag_mask_) == 0) {
+      const size_t rank = static_cast<size_t>((held & ~tag_mask_) - 1);
+      if (entries_[rank].token == token) return rank;
+    }
+  }
 }
 
 std::optional<uint64_t> Histogram::CountOf(const Token& token) const {
-  auto it = index_.find(token);
-  if (it == index_.end()) return std::nullopt;
-  return entries_[it->second].count;
+  const size_t rank = Find(token);
+  if (rank == kAbsent) return std::nullopt;
+  return entries_[rank].count;
 }
 
 std::optional<size_t> Histogram::RankOf(const Token& token) const {
-  auto it = index_.find(token);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+  const size_t rank = Find(token);
+  if (rank == kAbsent) return std::nullopt;
+  return rank;
 }
 
 Status Histogram::SetCount(const Token& token, uint64_t count) {
-  auto it = index_.find(token);
-  if (it == index_.end()) {
+  const size_t rank = Find(token);
+  if (rank == kAbsent) {
     return Status::NotFound("token not in histogram: " + token);
   }
-  total_ -= entries_[it->second].count;
-  entries_[it->second].count = count;
+  total_ -= entries_[rank].count;
+  entries_[rank].count = count;
   total_ += count;
   return Status::OK();
 }
 
 Status Histogram::AddDelta(const Token& token, int64_t delta) {
-  auto it = index_.find(token);
-  if (it == index_.end()) {
+  const size_t rank = Find(token);
+  if (rank == kAbsent) {
     return Status::NotFound("token not in histogram: " + token);
   }
-  uint64_t& count = entries_[it->second].count;
+  uint64_t& count = entries_[rank].count;
   if (delta < 0 && count < static_cast<uint64_t>(-delta)) {
     return Status::InvalidArgument("delta would make count negative");
   }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -81,10 +80,23 @@ class Histogram {
   void ScaleCounts(double factor);
 
  private:
-  void RebuildIndex();
+  static constexpr size_t kAbsent = ~size_t{0};
+
+  /// Rank of `token`, or `kAbsent`.
+  size_t Find(const Token& token) const;
+  /// Indexes `entries_`; returns the rank of the first token that
+  /// repeats an earlier one (indexed at its last rank), or `kAbsent`.
+  size_t RebuildIndex();
 
   std::vector<HistogramEntry> entries_;
-  std::unordered_map<Token, size_t> index_;
+  /// Token index (DESIGN.md §16): open addressing with linear probing
+  /// over a power-of-two table at most half full. A slot holds the top
+  /// bits of the token's hash (the tag) over `rank + 1` in the low bits;
+  /// 0 is an empty slot. The rank field is 32 bits wide, or wider when
+  /// a histogram has more tokens than 32 bits can number.
+  std::vector<uint64_t> slots_;
+  /// The tag bits of a slot: everything above the rank field.
+  uint64_t tag_mask_ = 0;
   uint64_t total_ = 0;
 };
 

@@ -284,7 +284,6 @@ SessionDrainResult BatchDetector::Session::DetectChecked(
     const std::vector<Histogram>& suspects,
     const InterruptContext& interrupt) const {
   SessionDrainResult out;
-  out.key_status = key_status_;
   out.status = EvaluateTiles(suspects, /*checked=*/true, interrupt, out);
 
   // Deterministic error report order regardless of which thread recorded
@@ -321,7 +320,8 @@ Status BatchDetector::Session::EvaluateTiles(
     const InterruptContext& interrupt, SessionDrainResult& out) const {
   const size_t num_keys = keys_.size();
   const size_t cells = suspects.size() * num_keys;
-  out.verdicts.assign(suspects.size(), std::vector<DetectResult>(num_keys));
+  out.verdicts.resize(suspects.size());
+  for (std::vector<DetectResult>& row : out.verdicts) row.resize(num_keys);
   out.evaluated.assign(cells, 0);
   if (cells == 0) return Status::OK();
   if (checked) FREQYWM_RETURN_NOT_OK(interrupt.Check());
@@ -396,6 +396,13 @@ Status BatchDetector::Session::EvaluateTiles(
 void BatchDetector::Session::RecordColumnOutcomes(
     const SessionDrainResult& result) const {
   if (options_.circuit_breaker == nullptr || keys_.empty()) return;
+  // Without cell errors every outcome below is a success, and a success
+  // on a key the breaker does not track changes nothing. A failure
+  // another session records after this check orders after this drain.
+  if (result.cell_errors.empty() &&
+      !options_.circuit_breaker->TracksAnyKey()) {
+    return;
+  }
   // One pass over the drain: per column, whether any cell failed and
   // whether any evaluated. Then one breaker call for all columns.
   std::vector<uint8_t> column_failed(keys_.size(), 0);

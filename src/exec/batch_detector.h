@@ -36,9 +36,11 @@ struct SessionCellError {
 /// verdict matrix always has full |suspects| × |keys| shape; the
 /// companion fields say which cells actually hold a detection:
 ///
-///   - `key_status[j]` is non-OK when column `j` is poisoned — its key
-///     failed `Prepare` (or its scheme tag is unregistered) — and every
-///     cell in that column is unevaluated, default-rejected;
+///   - the session's `key_statuses()[j]` is non-OK when column `j` is
+///     poisoned — its key failed `Prepare` (or its scheme tag is
+///     unregistered) — and every cell in that column is unevaluated,
+///     default-rejected (fixed when the session opens, so a drain does
+///     not copy it);
 ///   - `cell_errors` lists individually failed cells (sorted by
 ///     (suspect, key)), each with its typed status — one bad cell never
 ///     contaminates its row, column, or the drain;
@@ -51,7 +53,6 @@ struct SessionCellError {
 ///     before the interruption.
 struct SessionDrainResult {
   std::vector<std::vector<DetectResult>> verdicts;
-  std::vector<Status> key_status;
   std::vector<SessionCellError> cell_errors;
   std::vector<uint8_t> evaluated;
   Status status;
@@ -266,7 +267,8 @@ class BatchDetector {
                        const InterruptContext& interrupt,
                        const std::function<Status(size_t)>& body) const;
     /// Feeds the drained columns' outcomes back to the shared circuit
-    /// breaker in one call (no-op without one): a column that evaluated
+    /// breaker in one call (no-op without one, or when a drain without
+    /// cell errors meets a breaker tracking no key): a column that evaluated
     /// at least one cell cleanly records a success, a column with cell
     /// errors records a failure.
     void RecordColumnOutcomes(const SessionDrainResult& result) const;

@@ -62,6 +62,11 @@ void KeyCircuitBreaker::RecordOutcomes(const std::vector<Outcome>& outcomes) {
   }
 }
 
+bool KeyCircuitBreaker::TracksAnyKey() const {
+  MutexLock lock(mu_);
+  return !keys_.empty();
+}
+
 void KeyCircuitBreaker::RecordSuccessLocked(std::string_view key) {
   auto it = keys_.find(key);
   if (it == keys_.end()) return;

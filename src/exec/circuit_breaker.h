@@ -94,6 +94,11 @@ class KeyCircuitBreaker {
   /// turn. The batch engine feeds a whole drain's columns back this way.
   void RecordOutcomes(const std::vector<Outcome>& outcomes);
 
+  /// True while any key has state: failures counted since its last
+  /// success, or an open or half-open circuit. When false, a success
+  /// changes nothing.
+  bool TracksAnyKey() const;
+
   CircuitBreakerStats stats() const;
 
   const CircuitBreakerOptions& options() const { return options_; }

@@ -190,31 +190,47 @@ TEST(CircuitBreakerTest, RecordOutcomesEqualsPerKeyRecording) {
   ExpectSameState(batched, single, keys);
 }
 
-TEST(CircuitBreakerTest, DrainFeedbackEqualsPerColumnRecording) {
-  // A session drain records every column's outcome in one breaker call;
-  // the state must equal a breaker fed the same outcomes column by column
-  // (Allow per key at preparation, RecordSuccess per evaluated column).
+// A suspect and five key columns for the drain-feedback tests: four
+// FreqyWM keys over the suspect's tokens and one unregistered scheme tag.
+struct FeedbackFixture {
+  Histogram suspect;
+  std::vector<SchemeKey> keys;
+  std::vector<std::string> fingerprints;
+};
+
+FeedbackFixture MakeFeedbackFixture() {
+  FeedbackFixture fx;
   Rng rng(7);
   PowerLawSpec spec;
   spec.num_tokens = 120;
   spec.sample_size = 40000;
-  Histogram suspect = GeneratePowerLawHistogram(spec, rng);
-  std::vector<SchemeKey> keys;
+  fx.suspect = GeneratePowerLawHistogram(spec, rng);
   for (uint64_t k = 0; k < 4; ++k) {
     WatermarkSecrets secrets;
     secrets.r = GenerateSecret(256, 11 + k);
     secrets.z = 67;
     for (size_t p = 0; p < 10; ++p) {
-      secrets.pairs.push_back(SecretPair{suspect.entry(2 * p + k).token,
-                                         suspect.entry(2 * p + k + 40).token});
+      secrets.pairs.push_back(
+          SecretPair{fx.suspect.entry(2 * p + k).token,
+                     fx.suspect.entry(2 * p + k + 40).token});
     }
-    keys.push_back(SchemeKey{"freqywm", secrets.Serialize()});
+    fx.keys.push_back(SchemeKey{"freqywm", secrets.Serialize()});
   }
-  keys.push_back(SchemeKey{"no-such-scheme", "payload"});
-  std::vector<std::string> fingerprints;
-  for (const SchemeKey& key : keys) {
-    fingerprints.push_back(PreparedKeyCache::Fingerprint(key));
+  fx.keys.push_back(SchemeKey{"no-such-scheme", "payload"});
+  for (const SchemeKey& key : fx.keys) {
+    fx.fingerprints.push_back(PreparedKeyCache::Fingerprint(key));
   }
+  return fx;
+}
+
+TEST(CircuitBreakerTest, DrainFeedbackEqualsPerColumnRecording) {
+  // A session drain records every column's outcome in one breaker call;
+  // the state must equal a breaker fed the same outcomes column by column
+  // (Allow per key at preparation, RecordSuccess per evaluated column).
+  const FeedbackFixture fx = MakeFeedbackFixture();
+  const Histogram& suspect = fx.suspect;
+  const std::vector<SchemeKey>& keys = fx.keys;
+  const std::vector<std::string>& fingerprints = fx.fingerprints;
 
   FakeClockBreaker clock;
   auto drained = std::make_shared<KeyCircuitBreaker>([&] {
@@ -239,7 +255,7 @@ TEST(CircuitBreakerTest, DrainFeedbackEqualsPerColumnRecording) {
   session.AddSuspect(suspect);
   SessionDrainResult result = session.DrainChecked(InterruptContext{});
   ASSERT_TRUE(result.status.ok());
-  EXPECT_FALSE(result.key_status[2].ok());  // quarantined
+  EXPECT_FALSE(session.key_statuses()[2].ok());  // quarantined
 
   for (size_t j = 0; j < 4; ++j) {
     if (per_column.Allow(fingerprints[j]).ok()) {
@@ -254,6 +270,69 @@ TEST(CircuitBreakerTest, DrainFeedbackEqualsPerColumnRecording) {
     per_column.RecordFailure(fingerprint);
   }
   ExpectSameState(*drained, per_column, probe);
+}
+
+TEST(CircuitBreakerTest, TracksAnyKeyUntilSuccessClearsIt) {
+  FakeClockBreaker clock;
+  KeyCircuitBreaker breaker = clock.Make(2, seconds(1));
+  EXPECT_FALSE(breaker.TracksAnyKey());
+  breaker.RecordSuccess("key-a");  // untracked: no state appears
+  EXPECT_FALSE(breaker.TracksAnyKey());
+  breaker.RecordFailure("key-a");
+  EXPECT_TRUE(breaker.TracksAnyKey());
+  breaker.RecordSuccess("key-b");
+  EXPECT_TRUE(breaker.TracksAnyKey());
+  breaker.RecordSuccess("key-a");
+  EXPECT_FALSE(breaker.TracksAnyKey());
+  // An open circuit stays tracked through its cooldown and half-open
+  // probe until a success closes it.
+  for (int f = 0; f < 2; ++f) breaker.RecordFailure("key-a");
+  clock.AdvanceSeconds(2);
+  ASSERT_TRUE(breaker.Allow("key-a").ok());
+  EXPECT_TRUE(breaker.TracksAnyKey());
+  breaker.RecordSuccess("key-a");
+  EXPECT_FALSE(breaker.TracksAnyKey());
+}
+
+TEST(CircuitBreakerTest, CleanDrainStillClosesTheOneTrackedKey) {
+  // A drain without cell errors skips the feedback only when the breaker
+  // tracks no key. Here it tracks one failing key, so the drain's success
+  // must reach it: the streak resets and one more failure stays below
+  // the threshold of 2.
+  const FeedbackFixture fx = MakeFeedbackFixture();
+  FakeClockBreaker clock;
+  auto breaker = std::make_shared<KeyCircuitBreaker>([&] {
+    CircuitBreakerOptions options;
+    options.failure_threshold = 2;
+    options.cooldown = seconds(1);
+    options.clock_nanos = [&clock] { return clock.now_nanos; };
+    return options;
+  }());
+  breaker->RecordFailure(fx.fingerprints[1]);
+  ASSERT_TRUE(breaker->TracksAnyKey());
+
+  BatchDetectOptions options;
+  options.num_threads = 2;
+  options.circuit_breaker = breaker;
+  BatchDetector::Session session(options, fx.keys);
+  ASSERT_TRUE(session.key_statuses()[1].ok());
+  session.AddSuspect(fx.suspect);
+  SessionDrainResult result = session.DrainChecked(InterruptContext{});
+  ASSERT_TRUE(result.status.ok());
+  ASSERT_TRUE(result.cell_errors.empty());
+
+  EXPECT_FALSE(breaker->TracksAnyKey());
+  breaker->RecordFailure(fx.fingerprints[1]);
+  EXPECT_TRUE(breaker->Allow(fx.fingerprints[1]).ok());
+  EXPECT_EQ(breaker->stats().trips, 0u);
+
+  // With nothing tracked, a clean drain leaves the breaker untouched.
+  breaker->RecordSuccess(fx.fingerprints[1]);
+  session.AddSuspect(fx.suspect);
+  ASSERT_TRUE(session.DrainChecked(InterruptContext{}).status.ok());
+  EXPECT_FALSE(breaker->TracksAnyKey());
+  EXPECT_EQ(breaker->stats().trips, 0u);
+  EXPECT_EQ(breaker->stats().rejections, 0u);
 }
 
 }  // namespace

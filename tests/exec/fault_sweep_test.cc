@@ -113,7 +113,7 @@ TEST_F(FaultSweepTest, SessionDrainUnderSweptFaults) {
     }
     ASSERT_EQ(result.verdicts.size(), fx.suspects.size()) << "seed " << seed;
     for (size_t j = 0; j < fx.keys.size(); ++j) {
-      const Status& ks = result.key_status[j];
+      const Status& ks = session.key_statuses()[j];
       if (!ks.ok()) {
         EXPECT_EQ(ks.code(), StatusCode::kUnavailable)
             << "seed " << seed << " key " << j << ": " << ks;

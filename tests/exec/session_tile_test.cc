@@ -281,8 +281,8 @@ TEST_P(SessionTileTest, DrainDetectAndRunEqualSerialOneShot) {
       EXPECT_TRUE(drained.cell_errors.empty());
       EXPECT_TRUE(drained.verdicts == expected.verdicts);
       for (size_t j = 0; j < keys.size(); ++j) {
-        EXPECT_EQ(!drained.key_status[j].ok(), expected.poisoned[j] != 0)
-            << "column " << j << ": " << drained.key_status[j];
+        EXPECT_EQ(!session.key_statuses()[j].ok(), expected.poisoned[j] != 0)
+            << "column " << j << ": " << session.key_statuses()[j];
         for (size_t i = 0; i < fx.suspects.size(); ++i) {
           EXPECT_EQ(drained.evaluated[i * keys.size() + j],
                     expected.poisoned[j] ? 0 : 1)
@@ -392,7 +392,7 @@ TEST(SessionTileInterruptTest, CancelledDrainEvaluatesATilePrefix) {
     // other threads claimed before the cancellation may finish too.)
     size_t first_tile = 0;
     for (size_t j = 0; j < BatchDetector::Session::kCellTile; ++j) {
-      if (drained.key_status[j].ok()) {
+      if (session.key_statuses()[j].ok()) {
         ++first_tile;
         EXPECT_EQ(drained.evaluated[j], 1) << "column " << j;
       }
