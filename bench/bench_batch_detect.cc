@@ -60,6 +60,46 @@ constexpr size_t kAcceptKeys = 8;
 
 int Reps() { return bench::PerfSmoke() ? 1 : 5; }
 
+/// The machine a baseline ran on, as JSON members: hardware threads, and
+/// from /proc/cpuinfo the CPU model and whether it has avx512f (the cell
+/// kernel) and sha_ni. Off Linux the model reads "unknown" and both
+/// flags false.
+std::string HardwareJson() {
+  std::string model = "unknown";
+  std::string flags;
+  if (std::FILE* cpuinfo = std::fopen("/proc/cpuinfo", "r")) {
+    char line[4096];
+    while (std::fgets(line, sizeof(line), cpuinfo) != nullptr) {
+      const std::string text(line);
+      const size_t colon = text.find(':');
+      if (colon == std::string::npos) continue;
+      std::string value = text.substr(colon + 1);
+      value.erase(0, value.find_first_not_of(' '));
+      value.erase(value.find_last_not_of('\n') + 1);
+      if (text.rfind("model name", 0) == 0 && model == "unknown") {
+        model = value;
+      } else if (text.rfind("flags", 0) == 0 && flags.empty()) {
+        flags = " " + value + " ";
+      }
+    }
+    std::fclose(cpuinfo);
+  }
+  std::string escaped;
+  for (char c : model) {
+    if (c == '"' || c == '\\') escaped += '\\';
+    escaped += c;
+  }
+  auto has = [&](const char* flag) {
+    return flags.find(" " + std::string(flag) + " ") != std::string::npos
+               ? "true"
+               : "false";
+  };
+  return "\"hardware_threads\": " +
+         std::to_string(ThreadPool::HardwareThreads()) +
+         ",\n  \"cpu_model\": \"" + escaped + "\",\n  \"avx512f\": " +
+         has("avx512f") + ",\n  \"sha_ni\": " + has("sha_ni");
+}
+
 /// Embeds one fingerprint per buyer on a shared original histogram;
 /// returns the escrowed keys and the buyers' watermarked copies.
 /// `scheme_names` cycles round-robin (pass a single name for a
@@ -190,7 +230,7 @@ int main() {
   bench::IdentityGate gate;
   std::ostringstream json;
   json << "{\n  \"bench\": \"batch_detect\",\n  \"reps\": " << Reps()
-       << ",\n";
+       << ",\n  " << HardwareJson() << ",\n";
 
   // ---------------------------------------------- mixed-scheme matrix
   Histogram original =
@@ -305,12 +345,11 @@ int main() {
               pr3_identical ? "identical" : "MISMATCH");
 
   std::ostringstream stream_json;
-  // hardware_threads contextualizes the thread rows: on a 1-core runner
-  // the >1-thread rows measure pool overhead, and the single-core speedup
-  // is the acceptance payload.
+  // The hardware members contextualize the thread rows: on a 1-core
+  // runner the >1-thread rows measure pool overhead, and the single-core
+  // speedup is the acceptance payload.
   stream_json << "{\n  \"bench\": \"batch_detect_stream\",\n  \"reps\": "
-              << Reps() << ",\n  \"hardware_threads\": "
-              << ThreadPool::HardwareThreads()
+              << Reps() << ",\n  " << HardwareJson()
               << ",\n  \"suspects\": " << fw_suspects.size()
               << ",\n  \"keys\": " << fw_keys.size()
               << ",\n  \"pr3_prepared_seconds\": " << pr3_best << ",\n";

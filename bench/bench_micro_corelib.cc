@@ -6,8 +6,9 @@
 // reference vs the per-key modulus table), and the dataset transform
 // (serial oracle vs the sharded overload that reuses the source histogram),
 // the batch engine's session drain in the trace workload's shape (on
-// borrowed suspects, and on claimed ones it destroys), and a suspect
-// histogram copy.
+// borrowed suspects, and on claimed ones it destroys), the drain's cell
+// loop alone (general pair loop vs the AVX-512 cell kernel), and a
+// suspect histogram copy.
 //
 // After the google-benchmark run, main() executes the pair-enumeration
 // acceptance harness (ISSUE 3): BuildEligiblePairsReference vs
@@ -25,8 +26,10 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "bench_common.h"
@@ -349,6 +352,7 @@ BENCHMARK(BM_TransformDataset)->Arg(0)->Arg(1)->Arg(2)->Arg(3)
 // fingerprinting floor of 16) and eyeWnder stand-in suspects, prepared
 // once into a 2-thread session (the caller plus one pool worker).
 struct SessionDrainFixture {
+  std::vector<WatermarkSecrets> secrets;
   std::vector<Histogram> suspects;
   std::unique_ptr<BatchDetector::Session> session;
 };
@@ -381,6 +385,7 @@ const SessionDrainFixture& GetSessionDrainFixture() {
         s.pairs.push_back(SecretPair{ti, tj});
       }
       keys.push_back(SchemeKey{"freqywm", s.Serialize()});
+      f->secrets.push_back(std::move(s));
     }
     for (uint64_t seed = 22; seed < 30; ++seed) {
       Rng suspect_rng(seed);
@@ -443,6 +448,88 @@ void BM_SessionDrainOwned(benchmark::State& state) {
 }
 BENCHMARK(BM_SessionDrainOwned)->Arg(1)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// The drain's cell loop alone: the session drain fixture's 4,096 keys
+// bound to dense ids the way a session binds them, and its first suspect
+// scattered once into a narrow count row. One iteration evaluates every
+// column over that row with the general pair loop (`kernel` false) or
+// the AVX-512 cell kernel; both must give the same verdicts. Reports the
+// time per pair.
+struct CellKernelFixture {
+  std::vector<PairModulusTable::PairEntry> pairs;
+  std::vector<size_t> offsets;
+  std::vector<uint32_t> row;
+};
+
+const CellKernelFixture& GetCellKernelFixture() {
+  static const CellKernelFixture* fixture = [] {
+    const SessionDrainFixture& drain = GetSessionDrainFixture();
+    auto* f = new CellKernelFixture;
+    std::unordered_map<Token, uint32_t> ids;
+    std::vector<Token> vocab;
+    f->offsets.push_back(0);
+    for (const WatermarkSecrets& secrets : drain.secrets) {
+      const PairModulusTable table = PairModulusTable::Build(secrets);
+      std::vector<uint32_t> dense;
+      for (const Token& token : table.tokens()) {
+        auto [it, inserted] =
+            ids.emplace(token, static_cast<uint32_t>(vocab.size()));
+        if (inserted) vocab.push_back(token);
+        dense.push_back(it->second);
+      }
+      for (const PairModulusTable::PairEntry& pair : table.pairs()) {
+        f->pairs.push_back({dense[pair.token_i], dense[pair.token_j], pair.s});
+      }
+      f->offsets.push_back(f->pairs.size());
+    }
+    for (const Token& token : vocab) {
+      const std::optional<uint64_t> count =
+          drain.suspects.front().CountOf(token);
+      f->row.push_back(count ? static_cast<uint32_t>(*count) : kNarrowAbsent);
+    }
+    return f;
+  }();
+  return *fixture;
+}
+
+void BM_CellKernel(benchmark::State& state, bool kernel) {
+  const CellKernelFixture& f = GetCellKernelFixture();
+  if (kernel && !CellKernelSupported()) {
+    state.SkipWithError("CPU lacks avx512f/avx512vl");
+    return;
+  }
+  DetectOptions options;
+  options.min_pairs = 1;
+  const size_t columns = f.offsets.size() - 1;
+  auto run = [&](bool use_kernel, std::vector<DetectResult>& out) {
+    for (size_t j = 0; j < columns; ++j) {
+      const PairModulusTable::PairEntry* pairs = f.pairs.data() + f.offsets[j];
+      const size_t n = f.offsets[j + 1] - f.offsets[j];
+      out[j] = use_kernel
+                   ? DetectWatermarkCellKernel(pairs, n, f.row.data(), options)
+                   : DetectWatermark(pairs, n, f.row.data(), options);
+    }
+  };
+  std::vector<DetectResult> verdicts(columns);
+  std::vector<DetectResult> general(columns);
+  run(false, general);
+  run(kernel, verdicts);
+  if (verdicts != general) {
+    state.SkipWithError("kernel verdicts differ from the general loop");
+    return;
+  }
+  for (auto _ : state) {
+    run(kernel, verdicts);
+    benchmark::DoNotOptimize(verdicts.data());
+  }
+  state.counters["s/pair"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) *
+          static_cast<double>(f.pairs.size()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_CellKernel, general, false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_CellKernel, avx512, true)->Unit(benchmark::kMicrosecond);
 
 // Copying and destroying one suspect: the 11,476-token eyeWnder stand-in
 // the drain fixture traces first.

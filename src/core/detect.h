@@ -42,12 +42,12 @@ struct DetectResult {
 /// list so detection gathers each token's suspect-side count exactly once
 /// even when a token appears in many stored pairs.
 ///
-/// The derivation reuses crypto midstates: one inner digest per distinct
-/// `token_j`, one outer-hash midstate per distinct `token_i`, one cloned
-/// finish per pair. The table depends only on the key (never on a
-/// suspect), is immutable after `Build`, and is safe to share across
-/// threads — `BatchDetector` builds one per key so the |suspects| × |keys|
-/// matrix derives each modulus exactly once instead of once per cell.
+/// The derivation hashes one inner digest per distinct `token_j` and one
+/// outer hash per pair, so it costs no more than two hashes per pair. The
+/// table depends only on the key (never on a suspect), is immutable after
+/// `Build`, and is safe to share across threads — `BatchDetector` builds
+/// one per key so the |suspects| × |keys| matrix derives each modulus
+/// exactly once instead of once per cell.
 class PairModulusTable {
  public:
   /// One stored pair: indices into `tokens()` plus the derived modulus.
@@ -103,18 +103,45 @@ DetectResult DetectWatermark(const Histogram& suspect,
                              const PairModulusTable& table,
                              const DetectOptions& options);
 
-/// The one pair loop of every table-backed detection path (DESIGN.md §10):
-/// the token indices of `pairs[0, n)` index the caller's flat arrays —
-/// `counts[t]` is the suspect count of token `t`, valid iff `present[t]`
+/// The general pair loop of every table-backed detection path (DESIGN.md
+/// §10): the token indices of `pairs[0, n)` index the caller's flat arrays
+/// — `counts[t]` is the suspect count of token `t`, valid iff `present[t]`
 /// is non-zero. The histogram overload above gathers into such arrays and
-/// calls this; the batch engine binds each key's pairs to session-wide
-/// dense token ids once and scatters each suspect once for all keys, so a
-/// matrix cell costs zero hash probes. `n == 0` rejects, like an invalid
-/// table.
+/// calls this. `n == 0` rejects, like an invalid table.
 DetectResult DetectWatermark(const PairModulusTable::PairEntry* pairs,
                              size_t n, const uint64_t* counts,
                              const uint8_t* present,
                              const DetectOptions& options);
+
+/// Marks an absent token in a narrow count row.
+inline constexpr uint32_t kNarrowAbsent = 0xFFFFFFFFu;
+
+/// The same general loop over a *narrow* count row: `counts[t]` is the
+/// suspect count of token `t`, or `kNarrowAbsent` when the suspect lacks
+/// it — so every count it can hold is below 2^32 - 1. The batch engine
+/// binds each key's pairs to session-wide dense token ids once and
+/// scatters each suspect once for all keys into such a row, so a matrix
+/// cell costs zero hash probes. Any modulus and any options.
+DetectResult DetectWatermark(const PairModulusTable::PairEntry* pairs,
+                             size_t n, const uint32_t* counts,
+                             const DetectOptions& options);
+
+/// True when every modulus of `pairs[0, n)` lies in [2, 2^32): a column
+/// the cell kernel below may evaluate.
+bool NarrowPairs(const PairModulusTable::PairEntry* pairs, size_t n);
+
+/// True when this CPU runs `DetectWatermarkCellKernel` (it reports
+/// avx512f and avx512vl). Always false off x86-64.
+bool CellKernelSupported();
+
+/// The AVX-512 cell kernel (DESIGN.md §10): element-wise identical to the
+/// narrow-row general loop above, eight pairs per step, without a
+/// division. Preconditions: `CellKernelSupported()`, `NarrowPairs(pairs,
+/// n)`, and `options.rescale_factor` is not `> 0`; callers dispatch
+/// everything else to the general loop.
+DetectResult DetectWatermarkCellKernel(const PairModulusTable::PairEntry* pairs,
+                                       size_t n, const uint32_t* counts,
+                                       const DetectOptions& options);
 
 /// Convenience overload building the histogram from a raw dataset.
 DetectResult DetectWatermark(const Dataset& suspect,

@@ -50,6 +50,8 @@ void BatchDetector::Session::PrepareKeys() {
   key_fingerprint_.assign(
       options_.circuit_breaker != nullptr ? keys_.size() : 0, std::string());
   pair_offsets_.assign(keys_.size() + 1, 0);
+  kernel_column_.assign(keys_.size(), 0);
+  const bool kernel = CellKernelSupported();  // one CPU check per session
   std::vector<uint32_t> dense_ids;  // table token index → dense id
   for (size_t j = 0; j < keys_.size(); ++j) {
     pair_offsets_[j] = bound_pairs_.size();
@@ -127,19 +129,25 @@ void BatchDetector::Session::PrepareKeys() {
       bound_pairs_.push_back(PairModulusTable::PairEntry{
           dense_ids[pair.token_i], dense_ids[pair.token_j], pair.s});
     }
+    // The kernel's exactness needs every modulus below 2^32 and unscaled
+    // counts (DESIGN.md §10); any other column keeps the general loop.
+    kernel_column_[j] =
+        kernel && !(key_options_[j].rescale_factor > 0.0) &&
+        NarrowPairs(bound_pairs_.data() + pair_offsets_[j],
+                    bound_pairs_.size() - pair_offsets_[j]);
   }
   pair_offsets_[keys_.size()] = bound_pairs_.size();
 }
 
-void BatchDetector::Session::ScatterSuspect(const Histogram& suspect,
+bool BatchDetector::Session::ScatterSuspect(const Histogram& suspect,
                                             size_t block, size_t blocks,
-                                            uint64_t* counts,
-                                            uint8_t* present) const {
-  // Either direction fills the same arrays — the intersection of the
+                                            uint32_t* counts) const {
+  // Either direction fills the same row — the intersection of the
   // suspect's tokens with the union vocabulary — so the choice is purely
   // a cost call: one hash probe per token on the smaller side. Blocks of
   // distinct tokens write distinct ids, so tiles of one suspect never
-  // overlap.
+  // overlap. A count the row cannot hold is truncated and reported.
+  uint64_t widest = 0;
   if (suspect.num_tokens() < vocab_.size()) {
     // The suspect side is the smaller one: each of the `blocks` shares of
     // its entries is below `kScatterTile`.
@@ -148,18 +156,19 @@ void BatchDetector::Session::ScatterSuspect(const Histogram& suspect,
     for (size_t e = entries.size() * block / blocks; e < end; ++e) {
       auto it = vocab_index_.find(entries[e].token);
       if (it == vocab_index_.end()) continue;
-      counts[it->second] = entries[e].count;
-      present[it->second] = 1;
+      counts[it->second] = static_cast<uint32_t>(entries[e].count);
+      widest = std::max(widest, entries[e].count);
     }
   } else {
     const size_t end = std::min(vocab_.size(), (block + 1) * kScatterTile);
     for (size_t id = block * kScatterTile; id < end; ++id) {
       auto count = suspect.CountOf(vocab_[id]);
       if (!count) continue;
-      counts[id] = *count;
-      present[id] = 1;
+      counts[id] = static_cast<uint32_t>(*count);
+      widest = std::max(widest, *count);
     }
   }
+  return widest >= kNarrowAbsent;
 }
 
 void BatchDetector::Session::AddSuspect(Histogram suspect) {
@@ -326,33 +335,41 @@ Status BatchDetector::Session::EvaluateTiles(
   if (cells == 0) return Status::OK();
   if (checked) FREQYWM_RETURN_NOT_OK(interrupt.Check());
 
-  // Phase 1 — scatter: each suspect's counts land in its row of one flat
-  // array, indexed by dense id and built once for *all* bound columns.
-  // Tiles are (suspect × share of the smaller side), so even a
-  // one-suspect drain spreads its probes over the pool. An interruption
-  // here yields no evaluated cells: the arrays are an all-or-nothing
-  // precondition of the matrix phase.
+  // Phase 1 — scatter: each suspect's counts land in its narrow row of
+  // one flat array, indexed by dense id and built once for *all* bound
+  // columns. Tiles are (suspect × share of the smaller side), so even a
+  // one-suspect drain spreads its probes over the pool; each tile reports
+  // in its own byte whether it met a count of 2^32 - 1 or more. An
+  // interruption here yields no evaluated cells: the rows are an
+  // all-or-nothing precondition of the matrix phase.
   const size_t vocab = vocab_.size();
-  std::vector<uint64_t> counts(suspects.size() * vocab, 0);
-  std::vector<uint8_t> present(suspects.size() * vocab, 0);
+  std::vector<uint32_t> counts(suspects.size() * vocab, kNarrowAbsent);
+  std::vector<uint8_t> wide(suspects.size(), 0);
   if (vocab > 0) {
     const size_t blocks = (vocab + kScatterTile - 1) / kScatterTile;
+    std::vector<uint8_t> wide_tile(suspects.size() * blocks, 0);
     FREQYWM_RETURN_NOT_OK(ForEachTile(
-        suspects.size() * blocks, checked, interrupt, [&](size_t t) {
+        wide_tile.size(), checked, interrupt, [&](size_t t) {
           const size_t i = t / blocks;
-          ScatterSuspect(suspects[i], t % blocks, blocks,
-                         counts.data() + i * vocab, present.data() + i * vocab);
+          wide_tile[t] = ScatterSuspect(suspects[i], t % blocks, blocks,
+                                        counts.data() + i * vocab);
           return Status::OK();
         }));
+    for (size_t t = 0; t < wide_tile.size(); ++t) {
+      wide[t / blocks] |= wide_tile[t];
+    }
   }
 
   // Phase 2 — the matrix, in tiles of `kCellTile` consecutive row-major
-  // cells. A bound column is the pair loop over the suspect's flat row;
-  // any other column keeps its scheme's prepared histogram path. Each
-  // cell depends only on (suspect, key, options), so any schedule yields
-  // identical results. Checked, a failing cell records a typed error
-  // under `errors_mutex` and the tile carries on (DESIGN.md §13): one bad
-  // cell never aborts the drain, only a cancellation/deadline stops it.
+  // cells. A bound column is the AVX-512 cell kernel over the suspect's
+  // narrow row where the column allows it, else the general pair loop
+  // over the same row. A wide suspect, whose row cannot hold its counts,
+  // and any unbound column keep the scheme's prepared histogram path.
+  // Each cell depends only on (suspect, key, options), so any schedule
+  // yields identical results. Checked, a failing cell records a typed
+  // error under `errors_mutex` and the tile carries on (DESIGN.md §13):
+  // one bad cell never aborts the drain, only a cancellation/deadline
+  // stops it.
   Mutex errors_mutex;
   auto detect_tile = [&](size_t t) {
     const size_t begin = t * kCellTile;
@@ -369,16 +386,20 @@ Status BatchDetector::Session::EvaluateTiles(
           MutexLock lock(errors_mutex);
           out.cell_errors.push_back(SessionCellError{i, j, std::move(cell)});
         } else {
-          const size_t first = pair_offsets_[j];
-          const size_t last = pair_offsets_[j + 1];
-          out.verdicts[i][j] =
-              first != last
-                  ? DetectWatermark(bound_pairs_.data() + first, last - first,
-                                    counts.data() + i * vocab,
-                                    present.data() + i * vocab,
-                                    key_options_[j])
-                  : key_scheme_[j]->Detect(suspects[i], *prepared_[j],
-                                           key_options_[j]);
+          const PairModulusTable::PairEntry* pairs =
+              bound_pairs_.data() + pair_offsets_[j];
+          const size_t n = pair_offsets_[j + 1] - pair_offsets_[j];
+          const uint32_t* row = counts.data() + i * vocab;
+          if (n == 0 || wide[i]) {
+            out.verdicts[i][j] = key_scheme_[j]->Detect(
+                suspects[i], *prepared_[j], key_options_[j]);
+          } else if (kernel_column_[j]) {
+            out.verdicts[i][j] =
+                DetectWatermarkCellKernel(pairs, n, row, key_options_[j]);
+          } else {
+            out.verdicts[i][j] =
+                DetectWatermark(pairs, n, row, key_options_[j]);
+          }
           out.evaluated[c] = 1;
         }
       }

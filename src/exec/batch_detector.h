@@ -272,12 +272,14 @@ class BatchDetector {
     /// at least one cell cleanly records a success, a column with cell
     /// errors records a failure.
     void RecordColumnOutcomes(const SessionDrainResult& result) const;
-    /// Scatters share `block` of `blocks` of `suspect` into its flat
-    /// per-dense-id arrays, probing from whichever side (suspect
+    /// Scatters share `block` of `blocks` of `suspect` into its narrow
+    /// per-dense-id count row, probing from whichever side (suspect
     /// histogram vs union vocabulary) is smaller; both directions fill
-    /// identical arrays, at most `kScatterTile` probes per block.
-    void ScatterSuspect(const Histogram& suspect, size_t block, size_t blocks,
-                        uint64_t* counts, uint8_t* present) const;
+    /// identical rows, at most `kScatterTile` probes per block. Returns
+    /// true when the share holds a count of `kNarrowAbsent` or more, which
+    /// the row cannot represent.
+    bool ScatterSuspect(const Histogram& suspect, size_t block, size_t blocks,
+                        uint32_t* counts) const;
 
     BatchDetectOptions options_;
     std::vector<SchemeKey> keys_;
@@ -293,13 +295,18 @@ class BatchDetector {
 
     /// Bound pair columns: the tokens of every key's `PairTable` interned
     /// into dense ids `[0, vocab_.size())`, and all those keys' pairs,
-    /// token indices remapped to dense ids, in one array. Column `j`'s
-    /// pairs are `[pair_offsets_[j], pair_offsets_[j + 1])`; the range is
-    /// empty for a column detected through the scheme's histogram path.
+    /// token indices remapped to dense ids, in one array — the layout
+    /// both the general loop and the cell kernel read. Column `j`'s pairs
+    /// are `[pair_offsets_[j], pair_offsets_[j + 1])`; the range is empty
+    /// for a column detected through the scheme's histogram path.
+    /// `kernel_column_[j]` is 1 when the column's cells run the AVX-512
+    /// cell kernel: the CPU supports it, every modulus is narrow and the
+    /// options do not rescale.
     std::vector<Token> vocab_;
     std::unordered_map<Token, uint32_t> vocab_index_;
     std::vector<PairModulusTable::PairEntry> bound_pairs_;
     std::vector<size_t> pair_offsets_;
+    std::vector<uint8_t> kernel_column_;
 
     /// Producer-side state: the only mutable-after-construction session
     /// state, guarded so request handlers can enqueue concurrently. The
