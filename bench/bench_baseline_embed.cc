@@ -56,8 +56,7 @@ int main() {
   fb::IdentityGate gate;
   std::ostringstream json;
   json << "{\n  \"bench\": \"baseline_embed\",\n  \"reps\": " << Reps()
-       << ",\n  \"hardware_threads\": " << ThreadPool::HardwareThreads()
-       << ",\n";
+       << ",\n  " << fb::HardwareJson() << ",\n";
 
   // ------------------------------------------------ WM-OBT single embed
   Histogram hist = fb::MakeSynthetic(0.5, 42, 2000, 2'000'000);

@@ -60,46 +60,6 @@ constexpr size_t kAcceptKeys = 8;
 
 int Reps() { return bench::PerfSmoke() ? 1 : 5; }
 
-/// The machine a baseline ran on, as JSON members: hardware threads, and
-/// from /proc/cpuinfo the CPU model and whether it has avx512f (the cell
-/// kernel) and sha_ni. Off Linux the model reads "unknown" and both
-/// flags false.
-std::string HardwareJson() {
-  std::string model = "unknown";
-  std::string flags;
-  if (std::FILE* cpuinfo = std::fopen("/proc/cpuinfo", "r")) {
-    char line[4096];
-    while (std::fgets(line, sizeof(line), cpuinfo) != nullptr) {
-      const std::string text(line);
-      const size_t colon = text.find(':');
-      if (colon == std::string::npos) continue;
-      std::string value = text.substr(colon + 1);
-      value.erase(0, value.find_first_not_of(' '));
-      value.erase(value.find_last_not_of('\n') + 1);
-      if (text.rfind("model name", 0) == 0 && model == "unknown") {
-        model = value;
-      } else if (text.rfind("flags", 0) == 0 && flags.empty()) {
-        flags = " " + value + " ";
-      }
-    }
-    std::fclose(cpuinfo);
-  }
-  std::string escaped;
-  for (char c : model) {
-    if (c == '"' || c == '\\') escaped += '\\';
-    escaped += c;
-  }
-  auto has = [&](const char* flag) {
-    return flags.find(" " + std::string(flag) + " ") != std::string::npos
-               ? "true"
-               : "false";
-  };
-  return "\"hardware_threads\": " +
-         std::to_string(ThreadPool::HardwareThreads()) +
-         ",\n  \"cpu_model\": \"" + escaped + "\",\n  \"avx512f\": " +
-         has("avx512f") + ",\n  \"sha_ni\": " + has("sha_ni");
-}
-
 /// Embeds one fingerprint per buyer on a shared original histogram;
 /// returns the escrowed keys and the buyers' watermarked copies.
 /// `scheme_names` cycles round-robin (pass a single name for a
@@ -212,9 +172,11 @@ std::vector<std::vector<DetectResult>> StreamChunked(
   for (size_t start = 0; start < suspects.size(); start += chunk) {
     for (size_t i = start; i < std::min(start + chunk, suspects.size());
          ++i) {
-      session.AddSuspect(suspects[i]);
+      if (!session.Submit({suspects[i]}, SubmitPolicy::kShed, {}).ok()) {
+        return {};  // fails the identity gate
+      }
     }
-    auto rows = session.Drain();
+    auto rows = session.DrainChecked({}).verdicts;
     for (auto& row : rows) all.push_back(std::move(row));
   }
   return all;
@@ -230,7 +192,7 @@ int main() {
   bench::IdentityGate gate;
   std::ostringstream json;
   json << "{\n  \"bench\": \"batch_detect\",\n  \"reps\": " << Reps()
-       << ",\n  " << HardwareJson() << ",\n";
+       << ",\n  " << bench::HardwareJson() << ",\n";
 
   // ---------------------------------------------- mixed-scheme matrix
   Histogram original =
@@ -262,11 +224,10 @@ int main() {
     BatchDetectOptions opts;
     opts.num_threads = threads;
     BatchDetector parallel(opts);
-    // threads = total parallelism: this thread helps, so threads-1 workers.
-    ThreadPool pool(threads - 1);
+    // Each run creates its own pool: the time includes starting it.
     std::vector<std::vector<DetectResult>> results;
     double best = BestOfReps([&] {
-      results = parallel.Run(suspects, keys, &pool);
+      results = parallel.Run(suspects, keys);
     });
     bool identical = gate.Check(
         "mixed matrix @" + std::to_string(threads) + " threads vs serial",
@@ -349,7 +310,7 @@ int main() {
   // runner the >1-thread rows measure pool overhead, and the single-core
   // speedup is the acceptance payload.
   stream_json << "{\n  \"bench\": \"batch_detect_stream\",\n  \"reps\": "
-              << Reps() << ",\n  " << HardwareJson()
+              << Reps() << ",\n  " << bench::HardwareJson()
               << ",\n  \"suspects\": " << fw_suspects.size()
               << ",\n  \"keys\": " << fw_keys.size()
               << ",\n  \"pr3_prepared_seconds\": " << pr3_best << ",\n";
@@ -379,7 +340,7 @@ int main() {
     std::vector<std::vector<DetectResult>> one_shot;
     double warm_best = BestOfReps([&] {
       BatchDetector::Session session(opts, fw_keys);
-      one_shot = session.Detect(fw_suspects);
+      one_shot = session.DetectChecked(fw_suspects, {}).verdicts;
     });
     bool identical = one_shot == fw_reference;
 
@@ -450,7 +411,8 @@ int main() {
     ThreadPool pool(threads - 1);
     Histogram sharded;
     double best = BestOfReps([&] {
-      sharded = BuildHistogramSharded(dataset, pool);
+      sharded = BuildHistogramSharded(dataset, pool, InterruptContext{})
+                    .value_or(Histogram());
     });
     bool identical = gate.Check(
         "sharded histogram @" + std::to_string(threads) +

@@ -12,6 +12,7 @@
 #include "common/stopwatch.h"
 #include "core/watermark.h"
 #include "datagen/power_law.h"
+#include "exec/thread_pool.h"
 
 namespace freqywm::bench {
 
@@ -161,6 +162,45 @@ class IdentityGate {
   bool failed_ = false;
 };
 
+/// The machine a baseline ran on, as JSON members for the top of every
+/// BENCH_*.json: hardware threads, and from /proc/cpuinfo the CPU model
+/// and whether it has avx512f (the cell kernel) and sha_ni. Off Linux the
+/// model reads "unknown" and both flags false.
+inline std::string HardwareJson() {
+  std::string model = "unknown";
+  std::string flags;
+  if (std::FILE* cpuinfo = std::fopen("/proc/cpuinfo", "r")) {
+    char line[4096];
+    while (std::fgets(line, sizeof(line), cpuinfo) != nullptr) {
+      const std::string text(line);
+      const size_t colon = text.find(':');
+      if (colon == std::string::npos) continue;
+      std::string value = text.substr(colon + 1);
+      value.erase(0, value.find_first_not_of(' '));
+      value.erase(value.find_last_not_of('\n') + 1);
+      if (text.rfind("model name", 0) == 0 && model == "unknown") {
+        model = value;
+      } else if (text.rfind("flags", 0) == 0 && flags.empty()) {
+        flags = " " + value + " ";
+      }
+    }
+    std::fclose(cpuinfo);
+  }
+  std::string escaped;
+  for (char c : model) {
+    if (c == '"' || c == '\\') escaped += '\\';
+    escaped += c;
+  }
+  auto has = [&](const char* flag) {
+    return flags.find(" " + std::string(flag) + " ") != std::string::npos
+               ? "true"
+               : "false";
+  };
+  return "\"hardware_threads\": " +
+         std::to_string(ThreadPool::HardwareThreads()) +
+         ",\n  \"cpu_model\": \"" + escaped + "\",\n  \"avx512f\": " +
+         has("avx512f") + ",\n  \"sha_ni\": " + has("sha_ni");
+}
 /// Writes `content` to `path`, reporting success on stdout so CI logs show
 /// where the artifact landed.
 inline bool WriteJsonFile(const std::string& path,

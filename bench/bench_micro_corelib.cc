@@ -437,7 +437,10 @@ void BM_SessionDrainOwned(benchmark::State& state) {
                                         f.suspects.begin() + batch);
   for (auto _ : state) {
     state.PauseTiming();
-    f.session->AddSuspects(suspects);
+    if (!f.session->Submit(suspects, SubmitPolicy::kShed, {}).ok()) {
+      state.SkipWithError("Submit failed");
+      break;
+    }
     state.ResumeTiming();
     SessionDrainResult r = f.session->DrainChecked(InterruptContext{});
     benchmark::DoNotOptimize(r.verdicts.data());
@@ -581,8 +584,9 @@ int RunPairEnumAcceptance() {
               "midstate+pruning (z=%llu, kPaper, min_pair_cost=1)\n",
               static_cast<unsigned long long>(z));
   std::ostringstream json;
-  json << "{\n  \"bench\": \"pair_enum\",\n  \"z\": " << z
-       << ",\n  \"reps\": " << reps << ",\n  \"workloads\": [\n";
+  json << "{\n  \"bench\": \"pair_enum\",\n  " << bench::HardwareJson()
+       << ",\n  \"z\": " << z << ",\n  \"reps\": " << reps
+       << ",\n  \"workloads\": [\n";
 
   for (size_t w = 0; w < 2; ++w) {
     const Workload& load = workloads[w];

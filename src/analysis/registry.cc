@@ -17,7 +17,6 @@
 namespace freqywm {
 
 namespace {
-constexpr char kMagicV1[] = "freqywm-registry v1";
 constexpr char kMagicV2[] = "freqywm-registry v2";
 
 /// Overflow-safe parse of a size field. The previous `std::stoull` threw
@@ -112,9 +111,9 @@ std::vector<TraceMatch> FingerprintRegistry::TraceWithRecommendedOptions(
                       });
 }
 
-std::vector<std::vector<TraceMatch>> FingerprintRegistry::TraceSuspects(
-    const std::vector<Histogram>& suspects,
-    const TraceOptions& options) const {
+Result<std::vector<std::vector<TraceMatch>>>
+FingerprintRegistry::TraceSuspects(const std::vector<Histogram>& suspects,
+                                   const TraceOptions& options) const {
   std::vector<SchemeKey> keys;
   keys.reserve(records_.size());
   for (const auto& record : records_) keys.push_back(record.key);
@@ -124,8 +123,18 @@ std::vector<std::vector<TraceMatch>> FingerprintRegistry::TraceSuspects(
   batch.use_recommended_options = options.use_recommended_options;
   batch.detect_options = options.detect_options;
   batch.key_cache = options.key_cache;
-  std::vector<std::vector<DetectResult>> detections =
-      BatchDetector(batch).Run(suspects, std::move(keys));
+  BatchDetector::Session session(std::move(batch), std::move(keys));
+  SessionDrainResult detected = session.DetectChecked(suspects, {});
+  FREQYWM_RETURN_NOT_OK(detected.status);
+  for (const Status& status : session.key_statuses()) {
+    // An unregistered scheme is the serial trace's skip, not a failure.
+    if (!status.ok() && status.code() != StatusCode::kNotFound) return status;
+  }
+  if (!detected.cell_errors.empty()) {
+    return detected.cell_errors.front().status;
+  }
+  const std::vector<std::vector<DetectResult>>& detections =
+      detected.verdicts;
 
   // Reduce each suspect's row exactly as the serial trace does: keep the
   // accepted records in registration order, then sort strongest first
@@ -167,9 +176,7 @@ Result<FingerprintRegistry> FingerprintRegistry::Deserialize(
   if (!std::getline(in, line)) {
     return Status::Corruption("empty registry text");
   }
-  std::string_view magic = StripWhitespace(line);
-  bool v1 = magic == kMagicV1;
-  if (!v1 && magic != kMagicV2) {
+  if (StripWhitespace(line) != kMagicV2) {
     return Status::Corruption("bad registry magic");
   }
   if (!std::getline(in, line)) {
@@ -189,47 +196,33 @@ Result<FingerprintRegistry> FingerprintRegistry::Deserialize(
     if (!std::getline(in, line)) {
       return Status::Corruption("truncated registry");
     }
-    // v2: "buyer <payload-bytes> <scheme> <buyer id...>"
-    // v1: "buyer <payload-lines> <buyer id...>" (implicitly freqywm)
+    // "buyer <payload-bytes> <scheme> <buyer id...>"
     std::vector<std::string> parts = Split(line, ' ');
-    size_t min_parts = v1 ? 3 : 4;
-    if (parts.size() < min_parts || parts[0] != "buyer" ||
+    if (parts.size() < 4 || parts[0] != "buyer" ||
         !IsInteger(parts[1]) || parts[1][0] == '-' || parts[1][0] == '+') {
       return Status::Corruption("malformed buyer line");
     }
     FREQYWM_ASSIGN_OR_RETURN(size_t payload_size,
                              ParseSizeField(parts[1], "payload size"));
-    std::string scheme = v1 ? "freqywm" : parts[2];
-    size_t id_offset = parts[0].size() + 1 + parts[1].size() + 1;
-    if (!v1) id_offset += parts[2].size() + 1;
-    std::string buyer_id = line.substr(id_offset);
+    std::string scheme = parts[2];
+    std::string buyer_id = line.substr(parts[0].size() + parts[1].size() +
+                                       parts[2].size() + 3);
 
-    std::string payload;
-    if (v1) {
-      for (size_t l = 0; l < payload_size; ++l) {
-        if (!std::getline(in, line)) {
-          return Status::Corruption("truncated key for '" + buyer_id + "'");
-        }
-        payload += line;
-        payload += '\n';
-      }
-    } else {
-      if (payload_size > text.size()) {
-        return Status::Corruption("payload size exceeds registry text");
-      }
-      payload.resize(payload_size);
-      if (payload_size > 0 &&
-          !in.read(&payload[0], static_cast<std::streamsize>(payload_size))) {
-        return Status::Corruption("truncated key for '" + buyer_id + "'");
-      }
-      if (in.get() != '\n') {
-        return Status::Corruption("missing payload separator for '" +
-                                  buyer_id + "'");
-      }
+    if (payload_size > text.size()) {
+      return Status::Corruption("payload size exceeds registry text");
+    }
+    std::string payload(payload_size, '\0');
+    if (payload_size > 0 &&
+        !in.read(&payload[0], static_cast<std::streamsize>(payload_size))) {
+      return Status::Corruption("truncated key for '" + buyer_id + "'");
+    }
+    if (in.get() != '\n') {
+      return Status::Corruption("missing payload separator for '" + buyer_id +
+                                "'");
     }
     if (scheme == "freqywm") {
       // FreqyWM payloads are structured secrets; validate them eagerly so
-      // corruption surfaces at load time, exactly as the v1 format did.
+      // corruption surfaces at load time, not at the first trace.
       FREQYWM_RETURN_NOT_OK(WatermarkSecrets::Deserialize(payload).status());
     }
     FREQYWM_RETURN_NOT_OK(

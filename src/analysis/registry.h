@@ -118,16 +118,21 @@ class FingerprintRegistry {
   /// (`TraceWithRecommendedOptions(suspects[i])`, or
   /// `Trace(suspects[i], options.detect_options)` when
   /// `use_recommended_options` is false) returns, independent of
-  /// `options.num_threads`.
-  std::vector<std::vector<TraceMatch>> TraceSuspects(
+  /// `options.num_threads`. Runs on the session's failure-aware
+  /// `DetectChecked`: a key whose preparation failed or a detection cell
+  /// that failed returns that typed error (the first poisoned column,
+  /// else the first failed cell in (suspect, key) order) instead of a
+  /// silently rejected match. Records with an unregistered scheme are
+  /// skipped, as in `Trace`.
+  [[nodiscard]] Result<std::vector<std::vector<TraceMatch>>> TraceSuspects(
       const std::vector<Histogram>& suspects,
       const TraceOptions& options = {}) const;
 
   /// Serializes the whole registry (buyer ids + scheme-tagged keys).
   std::string Serialize() const;
 
-  /// Parses the output of `Serialize`. Accepts both the current v2 format
-  /// and the legacy v1 format (untagged FreqyWM secrets). Rejects
+  /// Parses the output of `Serialize` (the v2 format; the retired v1
+  /// format of untagged FreqyWM secrets is rejected as `Corruption`). Rejects
   /// duplicate buyer ids with `InvalidArgument` (like `Register`),
   /// byte-level damage with `Corruption`, and — since the ISSUE 5
   /// round-trip hardening — text whose `records` header undercounts the

@@ -37,8 +37,8 @@ Status TenantSession::Submit(std::vector<Histogram> suspects,
   // leased — all-or-nothing. `mu_` cannot be held across the blocking
   // enqueue, so a drain may claim these rows before the permit below is
   // recorded; `RecordPermit` pays off whatever it released ahead of it.
-  FREQYWM_RETURN_NOT_OK(
-      session_->AddSuspectsBounded(std::move(suspects), interrupt));
+  FREQYWM_RETURN_NOT_OK(session_->Submit(std::move(suspects),
+                                         SubmitPolicy::kBlock, interrupt));
   MutexLock lock(mu_);
   RecordPermit(std::move(permit).value());
   return Status::OK();
@@ -52,11 +52,12 @@ Status TenantSession::TrySubmit(std::vector<Histogram> suspects,
   FREQYWM_RETURN_NOT_OK(permit.status());
   // Enqueue and record the permit in one critical section: a drain that
   // claimed these rows between the two would release nothing for them and
-  // leave their units in flight. `TryAddSuspects` never blocks, and the
+  // leave their units in flight. A `kShed` submit never blocks, and the
   // drain releases under `mu_` only after the session drain returned, so
   // the lock order mu_ -> session queue is acyclic.
   MutexLock lock(mu_);
-  FREQYWM_RETURN_NOT_OK(session_->TryAddSuspects(std::move(suspects)));
+  FREQYWM_RETURN_NOT_OK(session_->Submit(std::move(suspects),
+                                         SubmitPolicy::kShed, {}));
   RecordPermit(std::move(permit).value());
   return Status::OK();
 }
@@ -221,7 +222,7 @@ FingerprintRegistry TenantContext::RegistrySnapshot() const {
   return registry_;
 }
 
-std::vector<std::vector<TraceMatch>> TenantContext::TraceSuspects(
+Result<std::vector<std::vector<TraceMatch>>> TenantContext::TraceSuspects(
     const std::vector<Histogram>& suspects, size_t num_threads) const {
   const FingerprintRegistry snapshot = RegistrySnapshot();
   TraceOptions options;

@@ -89,7 +89,8 @@ class TenantContext;
 /// `BatchDetector::Session` over the tenant's escrowed keys, fronted by
 /// the tenant's admission controller. `Submit` admits suspects (blocking
 /// with backpressure, honoring the caller's interrupt) before they enter
-/// the session queue; `TrySubmit` is the non-blocking shed-mode variant.
+/// the session queue (`SubmitPolicy::kBlock`); `TrySubmit` is the
+/// non-blocking shed-mode variant (`SubmitPolicy::kShed`).
 /// Draining returns admitted units to the in-flight semaphore, one per
 /// drained row; destruction returns whatever is still outstanding and
 /// frees the tenant's session slot.
@@ -100,7 +101,7 @@ class TenantContext;
 /// never its bytes (enforced by tests/analysis/tenant_test.cc).
 ///
 /// Concurrency: `Submit`/`TrySubmit` are thread-safe (many producers);
-/// `DrainChecked` is single-caller, like `Session::Drain`.
+/// `DrainChecked` is single-caller, like `Session::DrainChecked`.
 class TenantSession {
  public:
   ~TenantSession();
@@ -109,7 +110,7 @@ class TenantSession {
 
   /// Blocking submission: admits `suspects.size()` units through the
   /// tenant's admission controller (rate + in-flight + pending budget,
-  /// deadline-aware), then enqueues through the session's bounded
+  /// deadline-aware), then enqueues through the session's `kBlock`
   /// backpressure path. Typed outcomes: `kResourceExhausted` sheds,
   /// `kCancelled` / the interrupt status when `interrupt` fires while
   /// queued. All-or-nothing: on any non-OK return NOTHING was enqueued
@@ -215,8 +216,10 @@ class TenantContext {
 
   /// Traces suspects through the tenant's registry with the tenant's
   /// cache — the serial convenience path, un-throttled (admission
-  /// applies to sessions; a trace is one bounded call).
-  std::vector<std::vector<TraceMatch>> TraceSuspects(
+  /// applies to sessions; a trace is one bounded call). A failed key
+  /// preparation or detection cell returns its typed error, as in
+  /// `FingerprintRegistry::TraceSuspects`.
+  [[nodiscard]] Result<std::vector<std::vector<TraceMatch>>> TraceSuspects(
       const std::vector<Histogram>& suspects, size_t num_threads = 1) const;
 
   /// Point-in-time health of this tenant's slice of the engine:

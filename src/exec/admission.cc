@@ -11,16 +11,6 @@
 namespace freqywm {
 namespace {
 
-// The monotonic-clock read behind the default `AdmissionOptions::
-// clock_nanos` (determinism allowlist: admission gates *whether* work is
-// admitted, never *what* admitted work computes — verdict bytes derive
-// only from (suspect, key, options)).
-int64_t RealNowNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 constexpr int64_t kWaitQuantumNanos = 10 * 1000 * 1000;  // 10 ms
 
 double EffectiveBurst(const AdmissionOptions& options) {
@@ -54,7 +44,7 @@ AdmissionController::AdmissionController(AdmissionOptions options)
       tokens_(effective_burst_) {}
 
 int64_t AdmissionController::Now() const {
-  return options_.clock_nanos ? options_.clock_nanos() : RealNowNanos();
+  return options_.clock_nanos ? options_.clock_nanos() : MonotonicNanos();
 }
 
 double AdmissionController::RefillLocked(int64_t now) {

@@ -81,7 +81,8 @@ struct AdmissionStats {
 /// `max_in_flight + max_pending` units and every rejected caller learns
 /// why. Admission never touches admitted work's bytes: verdicts of
 /// admitted suspects are identical to an unthrottled run at any thread
-/// count (enforced by tests/exec/admission_test.cc and bench_overload).
+/// count (enforced by tests/exec/admission_test.cc and
+/// tests/analysis/tenant_test.cc).
 ///
 /// Thread-safe: any number of producers may `TryAdmit`/`Admit`
 /// concurrently while permits release on other threads.

@@ -21,23 +21,14 @@ BatchDetector::Session::Session(BatchDetectOptions options,
   if (options_.num_threads > 1) {
     // num_threads is the *total* parallelism; the submitting thread helps
     // inside ParallelFor, so the pool needs one worker fewer.
-    owned_pool_ = std::make_unique<ThreadPool>(options_.num_threads - 1);
-    pool_ = owned_pool_.get();
+    pool_ = std::make_unique<ThreadPool>(options_.num_threads - 1);
   }
-  PrepareKeys();
-}
-
-BatchDetector::Session::Session(BatchDetectOptions options,
-                                std::vector<SchemeKey> keys,
-                                ThreadPool* borrowed_pool)
-    : options_(std::move(options)), keys_(std::move(keys)),
-      pool_(borrowed_pool) {
   PrepareKeys();
 }
 
 void BatchDetector::Session::PrepareKeys() {
   // One scheme per distinct tag (the same `SchemeCache` the serial
-  // registry trace uses), populated on the constructing thread so `Drain`
+  // registry trace uses), populated on the constructing thread so a drain
   // only reads. Per-key detection settings, prepared state and bound pair
   // columns are likewise resolved here — once per session, not per chunk —
   // and stay deterministic regardless of scheduling. Prepared state goes
@@ -86,7 +77,7 @@ void BatchDetector::Session::PrepareKeys() {
                                              static_cast<uint64_t>(j));
     if (prep.ok() && options_.key_cache != nullptr) {
       Result<std::shared_ptr<const PreparedKey>> entry =
-          options_.key_cache->TryGetOrPrepare(*scheme, keys_[j]);
+          options_.key_cache->GetOrPrepare(*scheme, keys_[j]);
       if (entry.ok()) {
         prepared_[j] = std::move(entry).value();
       } else {
@@ -171,46 +162,9 @@ bool BatchDetector::Session::ScatterSuspect(const Histogram& suspect,
   return widest >= kNarrowAbsent;
 }
 
-void BatchDetector::Session::AddSuspect(Histogram suspect) {
-  {
-    MutexLock lock(pending_mutex_);
-    pending_.push_back(std::move(suspect));
-  }
-  pending_cv_.NotifyAll();
-}
-
-void BatchDetector::Session::AddSuspects(std::vector<Histogram> suspects) {
-  {
-    MutexLock lock(pending_mutex_);
-    for (Histogram& suspect : suspects) {
-      pending_.push_back(std::move(suspect));
-    }
-  }
-  pending_cv_.NotifyAll();
-}
-
-Status BatchDetector::Session::TryAddSuspects(
-    std::vector<Histogram> suspects) {
-  FREQYWM_FAULT_POINT("session/add_bounded");
-  const size_t budget = options_.max_pending_suspects;
-  {
-    MutexLock lock(pending_mutex_);
-    if (budget > 0 && pending_.size() + suspects.size() > budget) {
-      return Status::ResourceExhausted(
-          "shed: session queue full (" + std::to_string(pending_.size()) +
-          " pending + " + std::to_string(suspects.size()) + " offered > " +
-          std::to_string(budget) + " budget)");
-    }
-    for (Histogram& suspect : suspects) {
-      pending_.push_back(std::move(suspect));
-    }
-  }
-  pending_cv_.NotifyAll();
-  return Status::OK();
-}
-
-Status BatchDetector::Session::AddSuspectsBounded(
-    std::vector<Histogram> suspects, const InterruptContext& interrupt) {
+Status BatchDetector::Session::Submit(std::vector<Histogram> suspects,
+                                      SubmitPolicy policy,
+                                      const InterruptContext& interrupt) {
   FREQYWM_FAULT_POINT("session/add_bounded");
   const size_t budget = options_.max_pending_suspects;
   if (budget > 0 && suspects.size() > budget) {
@@ -221,33 +175,22 @@ Status BatchDetector::Session::AddSuspectsBounded(
         std::to_string(budget));
   }
   constexpr std::chrono::milliseconds kWaitQuantum(10);
-  {
-    MutexLock lock(pending_mutex_);
-    while (budget > 0 && pending_.size() + suspects.size() > budget) {
-      FREQYWM_RETURN_NOT_OK(interrupt.Check());
-      // Producer backpressure: drains notify pending_cv_ after claiming
-      // the queue, so space-waiters wake; the bounded quantum caps how
-      // long an interruption can go unnoticed if no drain ever runs.
-      pending_cv_.WaitFor(pending_mutex_, kWaitQuantum);
-    }
-    for (Histogram& suspect : suspects) {
-      pending_.push_back(std::move(suspect));
-    }
-  }
-  pending_cv_.NotifyAll();
-  return Status::OK();
-}
-
-Status BatchDetector::Session::WaitForSuspects(
-    size_t min_count, const InterruptContext& interrupt) const {
-  // Bounded sleeps instead of an open-ended Wait: the quantum caps how
-  // long a cancellation or deadline expiry can go unnoticed when no
-  // producer ever notifies again.
-  constexpr std::chrono::milliseconds kWaitQuantum(10);
   MutexLock lock(pending_mutex_);
-  while (pending_.size() < min_count) {
+  while (budget > 0 && pending_.size() + suspects.size() > budget) {
+    if (policy == SubmitPolicy::kShed) {
+      return Status::ResourceExhausted(
+          "shed: session queue full (" + std::to_string(pending_.size()) +
+          " pending + " + std::to_string(suspects.size()) + " offered > " +
+          std::to_string(budget) + " budget)");
+    }
     FREQYWM_RETURN_NOT_OK(interrupt.Check());
+    // Producer backpressure: drains notify pending_cv_ after claiming the
+    // queue, so space-waiters wake; the bounded quantum caps how long an
+    // interruption can go unnoticed if no drain ever runs.
     pending_cv_.WaitFor(pending_mutex_, kWaitQuantum);
+  }
+  for (Histogram& suspect : suspects) {
+    pending_.push_back(std::move(suspect));
   }
   return Status::OK();
 }
@@ -267,21 +210,9 @@ std::vector<Histogram> BatchDetector::Session::ClaimPending() {
     batch.swap(pending_);
   }
   // The claim freed the whole pending budget: wake any producer blocked
-  // in AddSuspectsBounded.
+  // in a kBlock Submit.
   pending_cv_.NotifyAll();
   return batch;
-}
-
-std::vector<std::vector<DetectResult>> BatchDetector::Session::Drain() {
-  return Detect(ClaimPending());
-}
-
-std::vector<std::vector<DetectResult>> BatchDetector::Session::Detect(
-    const std::vector<Histogram>& suspects) const {
-  SessionDrainResult out;
-  // Unchecked: never interrupted and no fault site, so the status is OK.
-  (void)EvaluateTiles(suspects, /*checked=*/false, InterruptContext{}, out);
-  return std::move(out.verdicts);
 }
 
 SessionDrainResult BatchDetector::Session::DrainChecked(
@@ -293,7 +224,7 @@ SessionDrainResult BatchDetector::Session::DetectChecked(
     const std::vector<Histogram>& suspects,
     const InterruptContext& interrupt) const {
   SessionDrainResult out;
-  out.status = EvaluateTiles(suspects, /*checked=*/true, interrupt, out);
+  out.status = EvaluateTiles(suspects, interrupt, out);
 
   // Deterministic error report order regardless of which thread recorded
   // which cell first.
@@ -307,33 +238,28 @@ SessionDrainResult BatchDetector::Session::DetectChecked(
 }
 
 Status BatchDetector::Session::ForEachTile(
-    size_t n, bool checked, const InterruptContext& interrupt,
+    size_t n, const InterruptContext& interrupt,
     const std::function<Status(size_t)>& body) const {
-  const bool parallel = pool_ != nullptr && pool_->num_threads() > 0;
-  if (parallel && checked) {
+  if (pool_ != nullptr && pool_->num_threads() > 0) {
     return pool_->ParallelForChecked(n, interrupt, body);
   }
-  if (parallel) {
-    pool_->ParallelFor(n, [&](size_t t) { (void)body(t); });
-    return Status::OK();
-  }
   for (size_t t = 0; t < n; ++t) {
-    if (checked) FREQYWM_RETURN_NOT_OK(interrupt.Check());
+    FREQYWM_RETURN_NOT_OK(interrupt.Check());
     FREQYWM_RETURN_NOT_OK(body(t));
   }
   return Status::OK();
 }
 
 Status BatchDetector::Session::EvaluateTiles(
-    const std::vector<Histogram>& suspects, bool checked,
-    const InterruptContext& interrupt, SessionDrainResult& out) const {
+    const std::vector<Histogram>& suspects, const InterruptContext& interrupt,
+    SessionDrainResult& out) const {
   const size_t num_keys = keys_.size();
   const size_t cells = suspects.size() * num_keys;
   out.verdicts.resize(suspects.size());
   for (std::vector<DetectResult>& row : out.verdicts) row.resize(num_keys);
   out.evaluated.assign(cells, 0);
   if (cells == 0) return Status::OK();
-  if (checked) FREQYWM_RETURN_NOT_OK(interrupt.Check());
+  FREQYWM_RETURN_NOT_OK(interrupt.Check());
 
   // Phase 1 — scatter: each suspect's counts land in its narrow row of
   // one flat array, indexed by dense id and built once for *all* bound
@@ -349,7 +275,7 @@ Status BatchDetector::Session::EvaluateTiles(
     const size_t blocks = (vocab + kScatterTile - 1) / kScatterTile;
     std::vector<uint8_t> wide_tile(suspects.size() * blocks, 0);
     FREQYWM_RETURN_NOT_OK(ForEachTile(
-        wide_tile.size(), checked, interrupt, [&](size_t t) {
+        wide_tile.size(), interrupt, [&](size_t t) {
           const size_t i = t / blocks;
           wide_tile[t] = ScatterSuspect(suspects[i], t % blocks, blocks,
                                         counts.data() + i * vocab);
@@ -366,8 +292,8 @@ Status BatchDetector::Session::EvaluateTiles(
   // over the same row. A wide suspect, whose row cannot hold its counts,
   // and any unbound column keep the scheme's prepared histogram path.
   // Each cell depends only on (suspect, key, options), so any schedule
-  // yields identical results. Checked, a failing cell records a typed
-  // error under `errors_mutex` and the tile carries on (DESIGN.md §13):
+  // yields identical results. A failing cell records a typed error under
+  // `errors_mutex` and the tile carries on (DESIGN.md §13):
   // one bad cell never aborts the drain, only a cancellation/deadline
   // stops it.
   Mutex errors_mutex;
@@ -378,10 +304,8 @@ Status BatchDetector::Session::EvaluateTiles(
     size_t j = begin % num_keys;
     for (size_t c = begin; c < end; ++c) {
       if (key_status_[j].ok()) {  // else a poisoned column: no cell
-        Status cell =
-            checked ? FREQYWM_FAULT_STATUS_KEYED("session/detect_cell",
-                                                 static_cast<uint64_t>(c))
-                    : Status::OK();
+        Status cell = FREQYWM_FAULT_STATUS_KEYED("session/detect_cell",
+                                                 static_cast<uint64_t>(c));
         if (!cell.ok()) {
           MutexLock lock(errors_mutex);
           out.cell_errors.push_back(SessionCellError{i, j, std::move(cell)});
@@ -410,7 +334,7 @@ Status BatchDetector::Session::EvaluateTiles(
     }
     return Status::OK();
   };
-  return ForEachTile((cells + kCellTile - 1) / kCellTile, checked, interrupt,
+  return ForEachTile((cells + kCellTile - 1) / kCellTile, interrupt,
                      detect_tile);
 }
 
@@ -455,14 +379,7 @@ std::vector<std::vector<DetectResult>> BatchDetector::Run(
     const std::vector<Histogram>& suspects,
     std::vector<SchemeKey> keys) const {
   Session session(options_, std::move(keys));
-  return session.Detect(suspects);
-}
-
-std::vector<std::vector<DetectResult>> BatchDetector::Run(
-    const std::vector<Histogram>& suspects, std::vector<SchemeKey> keys,
-    ThreadPool* pool) const {
-  Session session(options_, std::move(keys), pool);
-  return session.Detect(suspects);
+  return session.DetectChecked(suspects, InterruptContext{}).verdicts;
 }
 
 }  // namespace freqywm

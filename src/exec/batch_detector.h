@@ -58,6 +58,16 @@ struct SessionDrainResult {
   Status status;
 };
 
+/// What `BatchDetector::Session::Submit` does with a batch that does not
+/// fit in the `max_pending_suspects` budget (DESIGN.md §14).
+enum class SubmitPolicy {
+  /// Shed all-or-nothing with typed `kResourceExhausted`; never blocks.
+  kShed,
+  /// Backpressure: wait until drains free enough space, the interrupt's
+  /// token is cancelled or its deadline expires.
+  kBlock,
+};
+
 /// Configuration of a `BatchDetector` run.
 struct BatchDetectOptions {
   /// Total parallelism (worker threads; the submitting thread helps).
@@ -81,10 +91,9 @@ struct BatchDetectOptions {
   std::shared_ptr<PreparedKeyCache> key_cache;
 
   /// Bounded pending-work budget for the session queue (DESIGN.md §14):
-  /// the maximum suspects `TryAddSuspects`/`AddSuspectsBounded` allow to
-  /// accumulate between drains. 0 (default) = unbounded — the legacy
-  /// `AddSuspect`/`AddSuspects` contract, which never sheds, is
-  /// unchanged either way.
+  /// the maximum suspects `Session::Submit` allows to accumulate between
+  /// drains. 0 (default) = unbounded: `Submit` then never sheds or
+  /// blocks under either policy.
   size_t max_pending_suspects = 0;
 
   /// Optional cooldown circuit breaker over key identities (DESIGN.md
@@ -135,97 +144,63 @@ class BatchDetector {
   /// session over the same keys starts warm), the dense-id interner and
   /// the bound pair columns.
   ///
-  /// `Drain` output is element-wise identical to a one-shot `Run` over the
-  /// concatenated chunks, for any chunking, thread count and cache state.
+  /// `DrainChecked` output is element-wise identical to a one-shot `Run`
+  /// over the concatenated chunks, for any chunking, thread count and
+  /// cache state.
   ///
-  /// Concurrency: the enqueue side is thread-safe — `AddSuspect`/
-  /// `AddSuspects` may be called from many producer threads (the shape of
-  /// the ROADMAP's detection service, where request handlers enqueue while
-  /// a drainer detects); the pending queue is guarded by `pending_mutex_`
-  /// (machine-checked by the CI thread-safety job). Arrival order under
-  /// concurrent producers is whatever order the enqueues serialize in —
-  /// per-producer order is preserved. `Drain`/`Detect` remain
-  /// single-caller: one drainer at a time (the parallelism lives inside
-  /// `Drain`). Prepared keys resolved at construction are pinned for the
-  /// session's lifetime — cache evictions never invalidate them.
+  /// Concurrency: `Submit` is thread-safe — many producer threads may
+  /// enqueue (the shape of the ROADMAP's detection service, where request
+  /// handlers enqueue while a drainer detects); the pending queue is
+  /// guarded by `pending_mutex_` (machine-checked by the CI thread-safety
+  /// job). Arrival order under concurrent producers is whatever order the
+  /// enqueues serialize in — per-producer order is preserved.
+  /// `DrainChecked`/`DetectChecked` remain single-caller: one drainer at a
+  /// time (the parallelism lives inside the drain). Prepared keys resolved
+  /// at construction are pinned for the session's lifetime — cache
+  /// evictions never invalidate them.
   class Session {
    public:
     /// Creates a session over `keys`, owning a thread pool when
     /// `options.num_threads > 1` (the pool persists across chunks).
     Session(BatchDetectOptions options, std::vector<SchemeKey> keys);
 
-    /// Like above, but borrows `pool` (may be null → serial) instead of
-    /// creating one. The pool must outlive the session.
-    Session(BatchDetectOptions options, std::vector<SchemeKey> keys,
-            ThreadPool* borrowed_pool);
-
     Session(const Session&) = delete;
     Session& operator=(const Session&) = delete;
 
-    /// Enqueues suspects for the next `Drain`, preserving arrival order.
-    /// Thread-safe: producers may enqueue concurrently (and while a
-    /// `Drain` is running; such suspects land in the *next* drain).
-    void AddSuspect(Histogram suspect);
-    void AddSuspects(std::vector<Histogram> suspects);
+    /// Enqueues `suspects` for the next drain, preserving arrival order.
+    /// With no budget configured every batch is admitted. Otherwise a
+    /// batch larger than the whole budget can never fit and is shed at
+    /// once with `kResourceExhausted`; a batch that does not fit now is
+    /// shed (`kShed`) or waits in bounded ~10 ms quanta, polling
+    /// `interrupt` (`kBlock`, which returns the interruption status).
+    /// All-or-nothing: on any non-OK return NOTHING was enqueued. An
+    /// admitted batch drains exactly as any other — the policy changes
+    /// only whether and when suspects enter the queue, never what their
+    /// drain computes. Thread-safe; suspects enqueued while a drain runs
+    /// land in the next drain.
+    [[nodiscard]] Status Submit(std::vector<Histogram> suspects,
+                                SubmitPolicy policy,
+                                const InterruptContext& interrupt);
 
-    /// Bounded enqueue, shed mode (DESIGN.md §14): admits `suspects`
-    /// only when the whole batch fits in the configured
-    /// `max_pending_suspects` budget; otherwise sheds all-or-nothing
-    /// with typed `kResourceExhausted` and enqueues NOTHING. With no
-    /// budget configured this is `AddSuspects` plus an OK. Thread-safe
-    /// like `AddSuspects`.
-    [[nodiscard]] Status TryAddSuspects(std::vector<Histogram> suspects);
-
-    /// Bounded enqueue, backpressure mode (DESIGN.md §14): blocks until
-    /// the batch fits in the budget (drains free space; the wait rides
-    /// the same `pending_cv_` as `WaitForSuspects`, in bounded ~10 ms
-    /// quanta), the token is cancelled, or the deadline expires —
-    /// returning the interruption status without enqueueing anything. A
-    /// batch larger than the whole budget can never fit and is shed
-    /// immediately with `kResourceExhausted`. Admitted batches are
-    /// byte-equivalent to an `AddSuspects` call: only *whether/when*
-    /// suspects enter the queue changes, never what their drain
-    /// computes.
-    [[nodiscard]] Status AddSuspectsBounded(std::vector<Histogram> suspects,
-                                            const InterruptContext& interrupt);
-
-    /// Suspects enqueued since the last `Drain`. Thread-safe.
+    /// Suspects enqueued since the last drain. Thread-safe.
     size_t pending_suspects() const;
 
-    /// Detects every pending suspect against the key column and clears
-    /// the queue. Row order equals arrival order.
-    std::vector<std::vector<DetectResult>> Drain();
-
-    /// One-shot detection of `suspects` against the key column, without
-    /// touching the pending queue. `Run` is implemented on top of this.
-    std::vector<std::vector<DetectResult>> Detect(
-        const std::vector<Histogram>& suspects) const;
-
-    /// The failure-aware drain (DESIGN.md §13): claims the pending queue
-    /// like `Drain`, but honors `interrupt` at every tile boundary — an
-    /// interruption is noticed within one tile (`kCellTile` cells, or one
-    /// scatter tile), not one cell — and isolates per-key / per-cell
-    /// failures instead of assuming them away. Claimed suspects are
-    /// consumed even when the drain is interrupted — the caller inspects
-    /// `evaluated` to see which cells completed. For a clean,
-    /// uninterrupted run over all-OK keys, the verdicts are element-wise
-    /// identical to `Drain()`.
+    /// The failure-aware drain (DESIGN.md §13): claims the whole pending
+    /// queue (row order equals arrival order) and detects it like
+    /// `DetectChecked`. Claimed suspects are consumed even when the drain
+    /// is interrupted — the caller inspects `evaluated` to see which
+    /// cells completed.
     SessionDrainResult DrainChecked(const InterruptContext& interrupt);
 
-    /// Failure-aware one-shot detection; `DrainChecked` is implemented on
-    /// top of this.
+    /// One-shot detection of `suspects` against the key column, without
+    /// touching the pending queue. Honors `interrupt` at every tile
+    /// boundary — an interruption is noticed within one tile (`kCellTile`
+    /// cells, or one scatter tile), not one cell — and isolates per-key /
+    /// per-cell failures instead of assuming them away. For a clean,
+    /// uninterrupted run over all-OK keys, `verdicts[i][j]` is
+    /// element-wise identical to the scheme's one-shot `Detect`.
     SessionDrainResult DetectChecked(const std::vector<Histogram>& suspects,
                                      const InterruptContext& interrupt) const;
-
-    /// Blocks until at least `min_count` suspects are pending, the token
-    /// is cancelled, or the deadline expires — the producer/drainer
-    /// handshake of the detection-service shape. Returns OK when the
-    /// count is reached, else the interruption status. Uses bounded
-    /// `CondVar::WaitFor` sleeps internally, so a waiter blocked on a
-    /// notification that never comes still observes cancellation within
-    /// one wait quantum (~10 ms).
-    Status WaitForSuspects(size_t min_count,
-                           const InterruptContext& interrupt) const;
 
     /// Per-key preparation outcome, fixed at construction: `[j]` is OK
     /// when column `j` is usable, `kNotFound` for an unregistered scheme
@@ -251,20 +226,18 @@ class BatchDetector {
     void PrepareKeys();
     /// Takes the whole pending queue and wakes blocked producers.
     std::vector<Histogram> ClaimPending();
-    /// The tile routine behind `Detect` and `DetectChecked`: shapes
+    /// The tile routine behind `DetectChecked`: shapes
     /// `out.verdicts`/`out.evaluated`, scatters `suspects`, then
-    /// evaluates the matrix into `out`. `checked` selects the
-    /// failure-aware contract — polls `interrupt` per tile and runs the
-    /// `session/detect_cell` fault site per cell; unchecked, neither
-    /// runs. Returns the drain-level status.
-    Status EvaluateTiles(const std::vector<Histogram>& suspects, bool checked,
+    /// evaluates the matrix into `out`, polling `interrupt` per tile and
+    /// running the `session/detect_cell` fault site per cell. Returns the
+    /// drain-level status.
+    Status EvaluateTiles(const std::vector<Histogram>& suspects,
                          const InterruptContext& interrupt,
                          SessionDrainResult& out) const;
     /// Runs `body(t)` for every tile `t < n`, over the pool when there is
-    /// one; `checked` adds the per-tile interruption poll and shard fault
-    /// site of `ParallelForChecked`.
-    Status ForEachTile(size_t n, bool checked,
-                       const InterruptContext& interrupt,
+    /// one, with the per-tile interruption poll and shard fault site of
+    /// `ParallelForChecked`.
+    Status ForEachTile(size_t n, const InterruptContext& interrupt,
                        const std::function<Status(size_t)>& body) const;
     /// Feeds the drained columns' outcomes back to the shared circuit
     /// breaker in one call (no-op without one, or when a drain without
@@ -310,28 +283,25 @@ class BatchDetector {
 
     /// Producer-side state: the only mutable-after-construction session
     /// state, guarded so request handlers can enqueue concurrently. The
-    /// CondVar pairs enqueues with `WaitForSuspects` sleepers.
+    /// CondVar wakes `kBlock` producers when a drain frees the queue.
     mutable Mutex pending_mutex_;
     std::vector<Histogram> pending_ GUARDED_BY(pending_mutex_);
     mutable CondVar pending_cv_;
 
-    std::unique_ptr<ThreadPool> owned_pool_;
-    ThreadPool* pool_ = nullptr;  // owned or borrowed; null → serial
+    std::unique_ptr<ThreadPool> pool_;  // null → serial
   };
 
   /// Runs the matrix: `Run(...)[i][j]` is the detection of `keys[j]` on
-  /// `suspects[i]`. Creates a transient pool when `num_threads > 1`.
-  /// `keys` is taken by value and moved into the one-chunk session —
-  /// callers with a freshly built vector move it in copy-free.
+  /// `suspects[i]` — `DetectChecked(suspects, {}).verdicts` of a one-chunk
+  /// session, creating a transient pool when `num_threads > 1`. A cell
+  /// that failed (a poisoned column, an injected fault) stays
+  /// default-rejected here, indistinguishable from a rejection; callers
+  /// that must tell the two apart use `Session::DetectChecked`. `keys` is
+  /// taken by value and moved into the session — callers with a freshly
+  /// built vector move it in copy-free.
   std::vector<std::vector<DetectResult>> Run(
       const std::vector<Histogram>& suspects,
       std::vector<SchemeKey> keys) const;
-
-  /// Like `Run`, but borrows `pool` (may be null → serial). Lets callers
-  /// amortize one pool across many batches.
-  std::vector<std::vector<DetectResult>> Run(
-      const std::vector<Histogram>& suspects, std::vector<SchemeKey> keys,
-      ThreadPool* pool) const;
 
   const BatchDetectOptions& options() const { return options_; }
 

@@ -3,20 +3,15 @@
 #include <limits>
 
 namespace freqywm {
-namespace {
 
-// The only monotonic-clock read in the library (determinism allowlist:
-// deadlines gate *whether* work finishes, never *what* it computes).
-int64_t NowNanos() {
+int64_t MonotonicNanos() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
 
-}  // namespace
-
 Deadline Deadline::After(std::chrono::nanoseconds timeout) {
-  const int64_t now = NowNanos();
+  const int64_t now = MonotonicNanos();
   const int64_t ticks = timeout.count();
   // Saturate instead of overflowing for absurd timeouts.
   const int64_t when =
@@ -28,12 +23,12 @@ Deadline Deadline::After(std::chrono::nanoseconds timeout) {
 
 bool Deadline::expired() const {
   if (!finite_) return false;
-  return NowNanos() >= when_nanos_;
+  return MonotonicNanos() >= when_nanos_;
 }
 
 std::chrono::nanoseconds Deadline::remaining() const {
   if (!finite_) return std::chrono::nanoseconds::max();
-  const int64_t left = when_nanos_ - NowNanos();
+  const int64_t left = when_nanos_ - MonotonicNanos();
   return std::chrono::nanoseconds(left > 0 ? left : 0);
 }
 

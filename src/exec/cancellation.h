@@ -63,10 +63,16 @@ class CancellationSource {
   std::shared_ptr<std::atomic<bool>> flag_;
 };
 
+/// The process-wide monotonic clock in nanoseconds: the one clock read of
+/// the library (determinism allowlist). `Deadline` reads it, and so do the
+/// defaults behind `AdmissionOptions::clock_nanos` and
+/// `CircuitBreakerOptions::clock_nanos`. A clock reading only ever gates
+/// *whether* work runs or finishes, never *what* it computes.
+int64_t MonotonicNanos();
+
 /// An absolute point on the process-wide monotonic clock by which an
 /// operation must finish. Stored as raw nanoseconds so the header stays
-/// free of clock reads (the single `steady_clock` call lives in
-/// cancellation.cc behind the determinism allowlist); a deadline never
+/// free of clock reads (they go through `MonotonicNanos`); a deadline never
 /// alters *what* the engine computes, only *whether* it finishes —
 /// results produced before expiry are byte-identical to an undeadlined
 /// run. Default-constructed is infinite ("no deadline") and `expired()`

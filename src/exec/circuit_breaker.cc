@@ -2,25 +2,15 @@
 
 #include <algorithm>
 
+#include "exec/cancellation.h"
+
 namespace freqywm {
-namespace {
-
-// The monotonic-clock read behind the default `CircuitBreakerOptions::
-// clock_nanos` (determinism allowlist: the breaker gates *whether* a
-// quarantined key is probed, never *what* a probed key computes).
-int64_t RealNowNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 KeyCircuitBreaker::KeyCircuitBreaker(CircuitBreakerOptions options)
     : options_(std::move(options)) {}
 
 int64_t KeyCircuitBreaker::Now() const {
-  return options_.clock_nanos ? options_.clock_nanos() : RealNowNanos();
+  return options_.clock_nanos ? options_.clock_nanos() : MonotonicNanos();
 }
 
 Status KeyCircuitBreaker::Allow(std::string_view key) {

@@ -1,5 +1,7 @@
 #include "exec/exec_context.h"
 
+#include <utility>
+
 #include "exec/parallel_histogram.h"
 #include "exec/thread_pool.h"
 
@@ -10,7 +12,13 @@ bool ExecContext::parallel() const {
 }
 
 Histogram ExecContext::BuildHistogram(const Dataset& dataset) const {
-  if (parallel()) return BuildHistogramSharded(dataset, *pool);
+  if (parallel()) {
+    // Never interrupted, so only an injected shard fault can fail the
+    // build; the serial build returns the identical histogram.
+    Result<Histogram> hist =
+        BuildHistogramSharded(dataset, *pool, InterruptContext{});
+    if (hist.ok()) return std::move(hist).value();
+  }
   return Histogram::FromDataset(dataset);
 }
 
@@ -19,7 +27,7 @@ Result<Histogram> ExecContext::BuildHistogramChecked(
   const InterruptContext interrupt = this->interrupt();
   FREQYWM_RETURN_NOT_OK(interrupt.Check());
   if (parallel()) {
-    return BuildHistogramShardedChecked(dataset, *pool, interrupt);
+    return BuildHistogramSharded(dataset, *pool, interrupt);
   }
   // Serial path: one whole-dataset "shard", interruption checked once at
   // entry above — matching the parallel path's shard-boundary granularity.

@@ -57,8 +57,9 @@ struct ExecContext {
 
   /// Builds the frequency histogram of `dataset`: sharded across the pool
   /// when `parallel()`, `Histogram::FromDataset` otherwise. Both paths
-  /// return the identical histogram. Ignores interruption (kept for the
-  /// pre-PR-8 callers that cannot fail); new code uses the checked form.
+  /// return the identical histogram. Ignores interruption — the sharded
+  /// build runs with an empty interrupt — for callers that cannot fail;
+  /// code that honors cancellation uses `BuildHistogramChecked`.
   Histogram BuildHistogram(const Dataset& dataset) const;
 
   /// Like `BuildHistogram` but honors cancellation/deadline at shard

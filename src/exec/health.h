@@ -54,10 +54,10 @@ struct DurabilityGauges {
 /// Point-in-time health of one detection-engine instance (DESIGN.md §14):
 /// the admission counters/gauges, the prepared-key cache counters, the
 /// circuit-breaker gauges, and the session queue depth — everything an
-/// operator (or the `bench_overload` load generator) needs to see
-/// overload coming before it becomes memory growth. Pure data; each
-/// sub-snapshot is internally consistent (taken under its owner's lock)
-/// but the snapshot as a whole is not one atomic cut across components.
+/// operator needs to see overload coming before it becomes memory
+/// growth. Pure data; each sub-snapshot is internally consistent (taken
+/// under its owner's lock) but the snapshot as a whole is not one atomic
+/// cut across components.
 struct EngineHealthSnapshot {
   /// Admit/shed counters and in-flight/pending gauges
   /// (`AdmissionController::stats`).

@@ -15,15 +15,7 @@ constexpr size_t kMinRowsPerChunk = 1 << 14;
 
 }  // namespace
 
-Histogram BuildHistogramSharded(const Dataset& dataset, ThreadPool& pool) {
-  // A never-firing interrupt and OK bodies: the checked build cannot fail.
-  Result<Histogram> hist =
-      BuildHistogramShardedChecked(dataset, pool, InterruptContext{});
-  if (!hist.ok()) return Histogram::FromDataset(dataset);
-  return std::move(hist).value();
-}
-
-Result<Histogram> BuildHistogramShardedChecked(
+Result<Histogram> BuildHistogramSharded(
     const Dataset& dataset, ThreadPool& pool,
     const InterruptContext& interrupt) {
   FREQYWM_RETURN_NOT_OK(interrupt.Check());

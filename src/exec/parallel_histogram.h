@@ -18,18 +18,16 @@ namespace freqywm {
 /// sets — no cross-shard synchronization). Phase 3 concatenates the shard
 /// entries and applies the histogram's deterministic descending sort.
 ///
-/// The result is identical to `Histogram::FromDataset(dataset)` — same
-/// entry order, ranks and total — regardless of thread count; small
-/// datasets fall back to the serial build outright.
-Histogram BuildHistogramSharded(const Dataset& dataset, ThreadPool& pool);
-
-/// Like `BuildHistogramSharded`, but polls `interrupt` at every chunk and
-/// shard boundary (via `ParallelForChecked`) and returns
-/// `kCancelled`/`kDeadlineExceeded` instead of a partial histogram. A run
-/// that completes is byte-identical to the unchecked build.
-Result<Histogram> BuildHistogramShardedChecked(const Dataset& dataset,
-                                               ThreadPool& pool,
-                                               const InterruptContext& interrupt);
+/// Both parallel phases run through `ParallelForChecked`, so `interrupt`
+/// is polled at every chunk and shard boundary and an interrupted build
+/// returns `kCancelled`/`kDeadlineExceeded` instead of a partial
+/// histogram. A build that completes is identical to
+/// `Histogram::FromDataset(dataset)` — same entry order, ranks and total —
+/// regardless of thread count; small datasets fall back to the serial
+/// build outright.
+Result<Histogram> BuildHistogramSharded(const Dataset& dataset,
+                                        ThreadPool& pool,
+                                        const InterruptContext& interrupt);
 
 }  // namespace freqywm
 

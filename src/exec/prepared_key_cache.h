@@ -81,20 +81,16 @@ class PreparedKeyCache {
   /// The cached entry for `key`, preparing and inserting it via
   /// `scheme.Prepare(key)` on a miss. Preparation runs outside the cache
   /// lock; on a concurrent double-miss the first inserted entry wins and
-  /// is returned to both callers. Never returns nullptr.
-  std::shared_ptr<const PreparedKey> GetOrPrepare(
-      const WatermarkScheme& scheme, const SchemeKey& key);
-
-  /// The fallible form of `GetOrPrepare` (DESIGN.md §13): preparation
-  /// failures (today only injected at the `prepared_key_cache/prepare`
-  /// fault site; tomorrow any out-of-tree scheme whose `Prepare` touches
-  /// I/O) surface as a typed error instead of a cache entry. A failed
-  /// preparation inserts NOTHING — no tombstone, no negative entry — so
-  /// a later call for the same key retries from scratch and a transient
-  /// failure never poisons the key for other tenants (regression-tested
-  /// under TSan by tests/exec/fault_injection_test.cc). On success the
-  /// returned entry is never null.
-  Result<std::shared_ptr<const PreparedKey>> TryGetOrPrepare(
+  /// is returned to both callers. Preparation failures (today only
+  /// injected at the `prepared_key_cache/prepare` fault site; tomorrow any
+  /// out-of-tree scheme whose `Prepare` touches I/O) surface as a typed
+  /// error (DESIGN.md §13). A failed preparation inserts NOTHING — no
+  /// tombstone, no negative entry — so a later call for the same key
+  /// retries from scratch and a transient failure never poisons the key
+  /// for other tenants (regression-tested under TSan by
+  /// tests/exec/fault_injection_test.cc). On success the returned entry is
+  /// never null.
+  Result<std::shared_ptr<const PreparedKey>> GetOrPrepare(
       const WatermarkScheme& scheme, const SchemeKey& key);
 
   /// Drops every entry and resets the counters. Borrowed `shared_ptr`s

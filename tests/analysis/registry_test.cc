@@ -99,9 +99,9 @@ TEST(RegistryTest, SchemeTaggedRoundTripAcrossAllSchemes) {
   }
 }
 
-TEST(RegistryTest, DeserializeAcceptsLegacyV1) {
-  // A v1 registry (untagged FreqyWM secrets) still loads; records come
-  // back tagged "freqywm".
+TEST(RegistryTest, DeserializeRejectsLegacyV1) {
+  // The v1 format (untagged FreqyWM secrets) is retired: nothing has
+  // written it since scheme-tagged keys, so its magic is corruption.
   WatermarkSecrets secrets = MakeSecrets(5);
   std::string payload = secrets.Serialize();
   size_t lines = static_cast<size_t>(
@@ -109,11 +109,8 @@ TEST(RegistryTest, DeserializeAcceptsLegacyV1) {
   std::string text = "freqywm-registry v1\nrecords 1\nbuyer " +
                      std::to_string(lines) + " legacy buyer\n" + payload;
   auto parsed = FingerprintRegistry::Deserialize(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  ASSERT_EQ(parsed.value().size(), 1u);
-  EXPECT_EQ(parsed.value().records()[0].buyer_id, "legacy buyer");
-  EXPECT_EQ(parsed.value().records()[0].key.scheme, "freqywm");
-  EXPECT_EQ(parsed.value().records()[0].key.payload, payload);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kCorruption);
 }
 
 TEST(RegistryTest, DeserializeRejectsGarbage) {
@@ -380,8 +377,9 @@ TEST(RegistryTest, TraceSuspectsMatchesSerialTracePerSuspect) {
   for (size_t threads : {1, 4}) {
     TraceOptions options;
     options.num_threads = threads;
-    EXPECT_TRUE(registry.TraceSuspects(suspects, options) == serial)
-        << threads << " threads";
+    auto batched = registry.TraceSuspects(suspects, options);
+    ASSERT_TRUE(batched.ok()) << batched.status();
+    EXPECT_TRUE(batched.value() == serial) << threads << " threads";
   }
   // Each buyer's copy matched at least its own key; clean copy matched
   // nothing.
@@ -402,8 +400,9 @@ TEST(RegistryTest, TraceSuspectsMatchesSerialTracePerSuspect) {
   fixed_options.num_threads = 4;
   fixed_options.use_recommended_options = false;
   fixed_options.detect_options = fixed;
-  EXPECT_TRUE(registry.TraceSuspects(suspects, fixed_options) ==
-              serial_fixed);
+  auto batched_fixed = registry.TraceSuspects(suspects, fixed_options);
+  ASSERT_TRUE(batched_fixed.ok()) << batched_fixed.status();
+  EXPECT_TRUE(batched_fixed.value() == serial_fixed);
 }
 
 TEST(RegistryTest, TraceSuspectsSkipsUnregisteredSchemes) {
@@ -418,9 +417,12 @@ TEST(RegistryTest, TraceSuspectsSkipsUnregisteredSchemes) {
   ASSERT_TRUE(
       registry.Register("ghost", SchemeKey{"not-a-scheme", "blob"}).ok());
   auto batched = registry.TraceSuspects({master}, TraceOptions{});
-  ASSERT_EQ(batched.size(), 1u);
-  EXPECT_TRUE(batched[0].empty());
-  EXPECT_TRUE(registry.TraceSuspects({}, TraceOptions{}).empty());
+  ASSERT_TRUE(batched.ok()) << batched.status();
+  ASSERT_EQ(batched.value().size(), 1u);
+  EXPECT_TRUE(batched.value()[0].empty());
+  auto none = registry.TraceSuspects({}, TraceOptions{});
+  ASSERT_TRUE(none.ok()) << none.status();
+  EXPECT_TRUE(none.value().empty());
 }
 
 TEST(RegistryTest, RoundTripIsByteExactForForeignPayloads) {

@@ -20,6 +20,7 @@
 #include "common/random.h"
 #include "datagen/power_law.h"
 #include "exec/batch_detector.h"
+#include "../exec/one_shot_reference.h"
 
 namespace freqywm {
 namespace {
@@ -254,11 +255,10 @@ TEST(TenantTest, CacheSliceIsSizedByQuotaAndPrivate) {
 }
 
 TEST(TenantTest, VerdictsIdenticalToUntenantedSessionAnyThreads) {
-  BatchDetector::Session reference(BatchDetectOptions{}, Fixture().keys);
-  reference.AddSuspects(Batch(0, 3));
-  const auto expected = reference.Drain();
+  // Untenanted reference: the one-shot `Detect` of every cell.
+  const auto expected = OneShotVerdicts(Batch(0, 3), Fixture().keys);
 
-  for (size_t threads : {1u, 2u, 4u}) {
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
     TenantQuotas quotas;
     quotas.max_in_flight_suspects = 16;
     quotas.max_pending_suspects = 16;
@@ -307,9 +307,7 @@ TEST(TenantTest, SaturatedOrPoisonedTenantCannotPerturbAnother) {
   // Tenant B (same escrowed keys): verdicts must equal the untenanted
   // reference, its key columns must be healthy, and its admissions must
   // succeed — A's saturation and quarantines are invisible to B.
-  BatchDetector::Session reference(BatchDetectOptions{}, Fixture().keys);
-  reference.AddSuspects(Batch(0, 3));
-  const auto expected = reference.Drain();
+  const auto expected = OneShotVerdicts(Batch(0, 3), Fixture().keys);
 
   TenantContext tenant_b("quiet");
   EscrowAll(tenant_b);
@@ -350,9 +348,11 @@ TEST(TenantTest, TraceSuspectsMatchesRegistrySemantics) {
   }
   const auto expected = reference.TraceSuspects(Batch(0, 2));
   const auto actual = tenant.TraceSuspects(Batch(0, 2));
-  ASSERT_EQ(actual.size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(actual[i], expected[i]) << "suspect " << i;
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  ASSERT_TRUE(actual.ok()) << actual.status();
+  ASSERT_EQ(actual.value().size(), expected.value().size());
+  for (size_t i = 0; i < expected.value().size(); ++i) {
+    EXPECT_EQ(actual.value()[i], expected.value()[i]) << "suspect " << i;
   }
 }
 

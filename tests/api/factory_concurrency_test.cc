@@ -100,11 +100,15 @@ TEST(SchemeFactoryConcurrencyTest, CreateWhileRegistering) {
       for (int i = 0; i < 10; ++i) {
         std::string name = "conc-mixed-" + std::to_string(p) + "-" +
                            std::to_string(i);
+        // Like the race builder above, honor the bag's `seed`: suites
+        // that sweep every registered name seed their embeds through it.
         Status s = SchemeFactory::Register(
-            name, [](const OptionBag&)
+            name, [](const OptionBag& bag)
                 -> Result<std::unique_ptr<WatermarkScheme>> {
+              GenerateOptions o;
+              FREQYWM_ASSIGN_OR_RETURN(o.seed, bag.GetU64("seed", 1));
               return std::unique_ptr<WatermarkScheme>(
-                  std::make_unique<FreqyWmScheme>());
+                  std::make_unique<FreqyWmScheme>(o));
             });
         if (!s.ok()) failures.fetch_add(1);
       }

@@ -147,23 +147,5 @@ TEST(BatchDetectorTest, EmptyInputsYieldEmptyMatrix) {
   EXPECT_TRUE(no_keys[0].empty());
 }
 
-TEST(BatchDetectorTest, BorrowedPoolIsReusableAcrossRuns) {
-  Histogram original = MakeCleanHistogram(7);
-  auto scheme = MakeScheme(SchemeFactory::RegisteredNames().front(), 99);
-  auto outcome = scheme->Embed(original);
-  ASSERT_TRUE(outcome.ok()) << outcome.status();
-  std::vector<Histogram> suspects{outcome.value().watermarked, original};
-  std::vector<SchemeKey> keys{outcome.value().key};
-
-  BatchDetectOptions options;
-  options.num_threads = 4;
-  BatchDetector detector(options);
-  ThreadPool pool(4);
-  auto first = detector.Run(suspects, keys, &pool);
-  auto second = detector.Run(suspects, keys, &pool);
-  EXPECT_TRUE(first == second);
-  EXPECT_TRUE(first == detector.Run(suspects, keys, nullptr));
-}
-
 }  // namespace
 }  // namespace freqywm

@@ -21,6 +21,7 @@
 #include "common/random.h"
 #include "datagen/power_law.h"
 #include "exec/prepared_key_cache.h"
+#include "one_shot_reference.h"
 
 namespace freqywm {
 namespace {
@@ -43,25 +44,6 @@ std::unique_ptr<WatermarkScheme> MakeScheme(const std::string& name,
   return std::move(scheme).value();
 }
 
-/// The serial reference: per-cell key-path `Detect` under recommended
-/// options — no preparation, no dense gather, no cache.
-std::vector<std::vector<DetectResult>> SerialReference(
-    const std::vector<Histogram>& suspects,
-    const std::vector<SchemeKey>& keys) {
-  std::vector<std::vector<DetectResult>> results(
-      suspects.size(), std::vector<DetectResult>(keys.size()));
-  for (size_t i = 0; i < suspects.size(); ++i) {
-    for (size_t j = 0; j < keys.size(); ++j) {
-      auto scheme = SchemeFactory::Create(keys[j].scheme);
-      if (!scheme.ok()) continue;
-      results[i][j] = scheme.value()->Detect(
-          suspects[i], keys[j],
-          scheme.value()->RecommendedDetectOptions(keys[j]));
-    }
-  }
-  return results;
-}
-
 /// Streams `suspects` through a session in chunks of `chunk_size` and
 /// concatenates the drained rows.
 std::vector<std::vector<DetectResult>> RunChunked(
@@ -71,9 +53,10 @@ std::vector<std::vector<DetectResult>> RunChunked(
   for (size_t start = 0; start < suspects.size(); start += chunk_size) {
     for (size_t i = start; i < std::min(start + chunk_size, suspects.size());
          ++i) {
-      session.AddSuspect(suspects[i]);
+      EXPECT_TRUE(session.Submit({suspects[i]}, SubmitPolicy::kShed, {}).ok());
     }
-    std::vector<std::vector<DetectResult>> rows = session.Drain();
+    std::vector<std::vector<DetectResult>> rows =
+        session.DrainChecked({}).verdicts;
     for (auto& row : rows) all.push_back(std::move(row));
   }
   return all;
@@ -95,7 +78,7 @@ TEST_P(BatchSessionSchemeTest, ChunkedStreamingIdenticalToOneShotAnywhere) {
                                   outcome_b.value().watermarked, original,
                                   MakeCleanHistogram(57)};
   std::vector<SchemeKey> keys{outcome_a.value().key, outcome_b.value().key};
-  auto reference = SerialReference(suspects, keys);
+  auto reference = OneShotVerdicts(suspects, keys);
   ASSERT_TRUE(reference[0][0].accepted);
   ASSERT_TRUE(reference[1][1].accepted);
 
@@ -164,7 +147,7 @@ TEST(BatchSessionTest, MixedSchemeStreamSharesOneCacheAndInterner) {
     keys.push_back(outcome.value().key);
     suspects.push_back(std::move(outcome).value().watermarked);
   }
-  auto reference = SerialReference(suspects, keys);
+  auto reference = OneShotVerdicts(suspects, keys);
 
   auto cache = std::make_shared<PreparedKeyCache>();
   BatchDetectOptions options;
@@ -187,14 +170,14 @@ TEST(BatchSessionTest, SessionSurvivesCacheEviction) {
     keys.push_back(outcome.value().key);
     suspects.push_back(std::move(outcome).value().watermarked);
   }
-  auto reference = SerialReference(suspects, keys);
+  auto reference = OneShotVerdicts(suspects, keys);
 
   auto tiny_cache = std::make_shared<PreparedKeyCache>(1);
   BatchDetectOptions options;
   options.key_cache = tiny_cache;
   BatchDetector::Session session(options, keys);
   EXPECT_GE(tiny_cache->stats().evictions, keys.size() - 1);
-  EXPECT_TRUE(session.Detect(suspects) == reference);
+  EXPECT_TRUE(session.DetectChecked(suspects, {}).verdicts == reference);
 }
 
 TEST(BatchSessionTest, DrainClearsPendingAndEmptyDrainYieldsNothing) {
@@ -203,14 +186,20 @@ TEST(BatchSessionTest, DrainClearsPendingAndEmptyDrainYieldsNothing) {
   ASSERT_TRUE(outcome.ok()) << outcome.status();
 
   BatchDetector::Session session({}, {outcome.value().key});
-  EXPECT_TRUE(session.Drain().empty());
-  session.AddSuspect(outcome.value().watermarked);
-  session.AddSuspects({original, MakeCleanHistogram(24)});
+  EXPECT_TRUE(session.DrainChecked({}).verdicts.empty());
+  ASSERT_TRUE(session
+                  .Submit({outcome.value().watermarked}, SubmitPolicy::kShed,
+                          {})
+                  .ok());
+  ASSERT_TRUE(session
+                  .Submit({original, MakeCleanHistogram(24)},
+                          SubmitPolicy::kShed, {})
+                  .ok());
   EXPECT_EQ(session.pending_suspects(), 3u);
-  auto rows = session.Drain();
+  auto rows = session.DrainChecked({}).verdicts;
   EXPECT_EQ(rows.size(), 3u);
   EXPECT_EQ(session.pending_suspects(), 0u);
-  EXPECT_TRUE(session.Drain().empty());
+  EXPECT_TRUE(session.DrainChecked({}).verdicts.empty());
   EXPECT_TRUE(rows[0][0].accepted);
   EXPECT_FALSE(rows[1][0].accepted);
 }
@@ -219,8 +208,8 @@ TEST(BatchSessionTest, UnregisteredSchemeTagStreamsDefaultRejects) {
   Histogram original = MakeCleanHistogram(29);
   BatchDetector::Session session(
       {}, {SchemeKey{"no-such-scheme", "payload"}});
-  session.AddSuspect(original);
-  auto rows = session.Drain();
+  ASSERT_TRUE(session.Submit({original}, SubmitPolicy::kShed, {}).ok());
+  auto rows = session.DrainChecked({}).verdicts;
   ASSERT_EQ(rows.size(), 1u);
   ASSERT_EQ(rows[0].size(), 1u);
   EXPECT_TRUE(rows[0][0] == DetectResult{});
@@ -244,13 +233,14 @@ TEST(BatchSessionTest, TraceSuspectsWithSharedCacheMatchesUncached) {
   with_cache.key_cache = std::make_shared<PreparedKeyCache>();
   auto cold = registry.TraceSuspects(suspects, with_cache);
   auto warm = registry.TraceSuspects(suspects, with_cache);
-  EXPECT_TRUE(uncached == cold);
-  EXPECT_TRUE(cold == warm);
+  ASSERT_TRUE(uncached.ok() && cold.ok() && warm.ok());
+  EXPECT_TRUE(uncached.value() == cold.value());
+  EXPECT_TRUE(cold.value() == warm.value());
   EXPECT_EQ(with_cache.key_cache->stats().misses, 1u);
-  ASSERT_EQ(cold.size(), 2u);
-  ASSERT_EQ(cold[0].size(), 1u);
-  EXPECT_EQ(cold[0][0].buyer_id, "buyer-1");
-  EXPECT_TRUE(cold[1].empty());
+  ASSERT_EQ(cold.value().size(), 2u);
+  ASSERT_EQ(cold.value()[0].size(), 1u);
+  EXPECT_EQ(cold.value()[0][0].buyer_id, "buyer-1");
+  EXPECT_TRUE(cold.value()[1].empty());
 }
 
 }  // namespace

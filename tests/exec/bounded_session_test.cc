@@ -1,5 +1,5 @@
-// Bounded-session suite (DESIGN.md §14): the shed-mode and
-// backpressure-mode enqueues over `BatchDetector::Session`'s pending
+// Bounded-session suite (DESIGN.md §14): `Submit`'s shed and
+// backpressure policies over `BatchDetector::Session`'s pending
 // queue — all-or-nothing typed sheds, blocking until a drain frees
 // budget, interruption while blocked, and the determinism contract:
 // suspects that are admitted produce verdicts byte-identical to an
@@ -23,6 +23,7 @@
 #include "exec/cancellation.h"
 #include "exec/circuit_breaker.h"
 #include "exec/prepared_key_cache.h"
+#include "one_shot_reference.h"
 
 namespace freqywm {
 namespace {
@@ -75,10 +76,16 @@ std::vector<Histogram> Batch(size_t from, size_t count) {
 }
 
 TEST(BoundedSessionTest, NoBudgetMeansTryAddNeverSheds) {
-  BatchDetectOptions options;  // max_pending_suspects = 0: legacy
+  BatchDetectOptions options;  // max_pending_suspects = 0: unbounded
   BatchDetector::Session session(options, Fixture().keys);
-  EXPECT_TRUE(session.TryAddSuspects(Batch(0, 100)).ok());
-  EXPECT_EQ(session.pending_suspects(), 100u);
+  EXPECT_TRUE(session.Submit(Batch(0, 100), SubmitPolicy::kShed, {}).ok());
+  // Nor does a blocking submit wait, even with an expired deadline.
+  EXPECT_TRUE(session
+                  .Submit(Batch(0, 100), SubmitPolicy::kBlock,
+                          InterruptContext{CancellationToken(),
+                                           Deadline::Expired()})
+                  .ok());
+  EXPECT_EQ(session.pending_suspects(), 200u);
 }
 
 TEST(BoundedSessionTest, TryAddShedsAllOrNothingWhenBudgetFull) {
@@ -86,14 +93,14 @@ TEST(BoundedSessionTest, TryAddShedsAllOrNothingWhenBudgetFull) {
   options.max_pending_suspects = 4;
   BatchDetector::Session session(options, Fixture().keys);
 
-  ASSERT_TRUE(session.TryAddSuspects(Batch(0, 3)).ok());
-  Status shed = session.TryAddSuspects(Batch(0, 2));
+  ASSERT_TRUE(session.Submit(Batch(0, 3), SubmitPolicy::kShed, {}).ok());
+  Status shed = session.Submit(Batch(0, 2), SubmitPolicy::kShed, {});
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.code(), StatusCode::kResourceExhausted);
   // All-or-nothing: the shed batch enqueued NOTHING.
   EXPECT_EQ(session.pending_suspects(), 3u);
   // A batch that fits still gets in.
-  EXPECT_TRUE(session.TryAddSuspects(Batch(0, 1)).ok());
+  EXPECT_TRUE(session.Submit(Batch(0, 1), SubmitPolicy::kShed, {}).ok());
   EXPECT_EQ(session.pending_suspects(), 4u);
 }
 
@@ -101,11 +108,11 @@ TEST(BoundedSessionTest, BoundedAddBlocksUntilDrainFreesBudget) {
   BatchDetectOptions options;
   options.max_pending_suspects = 2;
   BatchDetector::Session session(options, Fixture().keys);
-  ASSERT_TRUE(session.TryAddSuspects(Batch(0, 2)).ok());
+  ASSERT_TRUE(session.Submit(Batch(0, 2), SubmitPolicy::kShed, {}).ok());
 
   std::atomic<bool> admitted{false};
   std::thread producer([&] {
-    Status status = session.AddSuspectsBounded(Batch(2, 2), InterruptContext{});
+    Status status = session.Submit(Batch(2, 2), SubmitPolicy::kBlock, {});
     EXPECT_TRUE(status.ok()) << status;
     admitted.store(true);
   });
@@ -115,7 +122,7 @@ TEST(BoundedSessionTest, BoundedAddBlocksUntilDrainFreesBudget) {
   EXPECT_FALSE(admitted.load());
 
   // Draining frees the whole budget and wakes the producer.
-  auto verdicts = session.Drain();
+  auto verdicts = session.DrainChecked({}).verdicts;
   EXPECT_EQ(verdicts.size(), 2u);
   producer.join();
   EXPECT_TRUE(admitted.load());
@@ -128,7 +135,7 @@ TEST(BoundedSessionTest, OversizedBatchShedsImmediately) {
   BatchDetector::Session session(options, Fixture().keys);
 
   // 3 > budget 2 can never fit: immediate typed shed, no blocking.
-  Status status = session.AddSuspectsBounded(Batch(0, 3), InterruptContext{});
+  Status status = session.Submit(Batch(0, 3), SubmitPolicy::kBlock, {});
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(session.pending_suspects(), 0u);
@@ -138,15 +145,16 @@ TEST(BoundedSessionTest, CancellationWhileBlockedEnqueuesNothing) {
   BatchDetectOptions options;
   options.max_pending_suspects = 1;
   BatchDetector::Session session(options, Fixture().keys);
-  ASSERT_TRUE(session.TryAddSuspects(Batch(0, 1)).ok());
+  ASSERT_TRUE(session.Submit(Batch(0, 1), SubmitPolicy::kShed, {}).ok());
 
   CancellationSource source;
   std::thread canceller([&] {
     std::this_thread::sleep_for(milliseconds(30));
     source.Cancel();
   });
-  Status status = session.AddSuspectsBounded(
-      Batch(1, 1), InterruptContext{source.token(), Deadline()});
+  Status status =
+      session.Submit(Batch(1, 1), SubmitPolicy::kBlock,
+                     InterruptContext{source.token(), Deadline()});
   canceller.join();
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kCancelled);
@@ -157,10 +165,10 @@ TEST(BoundedSessionTest, DeadlineWhileBlockedReturnsTypedStatus) {
   BatchDetectOptions options;
   options.max_pending_suspects = 1;
   BatchDetector::Session session(options, Fixture().keys);
-  ASSERT_TRUE(session.TryAddSuspects(Batch(0, 1)).ok());
+  ASSERT_TRUE(session.Submit(Batch(0, 1), SubmitPolicy::kShed, {}).ok());
 
-  Status status = session.AddSuspectsBounded(
-      Batch(1, 1),
+  Status status = session.Submit(
+      Batch(1, 1), SubmitPolicy::kBlock,
       InterruptContext{CancellationToken(), Deadline::After(milliseconds(30))});
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
@@ -168,19 +176,16 @@ TEST(BoundedSessionTest, DeadlineWhileBlockedReturnsTypedStatus) {
 }
 
 TEST(BoundedSessionTest, AdmittedVerdictsIdenticalToUnthrottledAnyThreads) {
-  // Unthrottled serial reference.
-  BatchDetector::Session reference(BatchDetectOptions{}, Fixture().keys);
-  reference.AddSuspects(Batch(0, 4));
-  const auto expected = reference.Drain();
+  // Unthrottled reference: the one-shot `Detect` of every cell.
+  const auto expected = OneShotVerdicts(Batch(0, 4), Fixture().keys);
 
   for (size_t threads : {1u, 2u, 4u, 8u}) {
     BatchDetectOptions options;
     options.num_threads = threads;
     options.max_pending_suspects = 4;
     BatchDetector::Session session(options, Fixture().keys);
-    ASSERT_TRUE(session.TryAddSuspects(Batch(0, 2)).ok());
-    ASSERT_TRUE(
-        session.AddSuspectsBounded(Batch(2, 2), InterruptContext{}).ok());
+    ASSERT_TRUE(session.Submit(Batch(0, 2), SubmitPolicy::kShed, {}).ok());
+    ASSERT_TRUE(session.Submit(Batch(2, 2), SubmitPolicy::kBlock, {}).ok());
     SessionDrainResult result = session.DrainChecked(InterruptContext{});
     ASSERT_TRUE(result.status.ok());
     // Byte-identical: bounded admission changes *whether* work enters
@@ -214,7 +219,7 @@ TEST(BoundedSessionTest, OpenCircuitQuarantinesColumnAtPrepare) {
 
   // The drain still completes: the poisoned column is default-rejected
   // and unevaluated, the healthy column fully evaluated.
-  session.AddSuspects(Batch(0, 2));
+  ASSERT_TRUE(session.Submit(Batch(0, 2), SubmitPolicy::kShed, {}).ok());
   SessionDrainResult result = session.DrainChecked(InterruptContext{});
   ASSERT_TRUE(result.status.ok());
   for (size_t i = 0; i < result.verdicts.size(); ++i) {
@@ -244,7 +249,7 @@ TEST(BoundedSessionTest, CleanDrainHealsBreakerAfterCooldown) {
   options.circuit_breaker = breaker;
   BatchDetector::Session session(options, Fixture().keys);
   EXPECT_TRUE(session.key_statuses()[0].ok());
-  session.AddSuspects(Batch(0, 1));
+  ASSERT_TRUE(session.Submit(Batch(0, 1), SubmitPolicy::kShed, {}).ok());
   SessionDrainResult result = session.DrainChecked(InterruptContext{});
   ASSERT_TRUE(result.status.ok());
   EXPECT_EQ(breaker->stats().open_keys, 0u);

@@ -439,7 +439,7 @@ TEST(CellKernelSessionTest, NarrowAndWideSuspectsInOneDrain) {
       batch.use_recommended_options = false;
       batch.detect_options = options;
       BatchDetector::Session session(batch, keys);
-      session.AddSuspects(suspects);
+      ASSERT_TRUE(session.Submit(suspects, SubmitPolicy::kShed, {}).ok());
       const SessionDrainResult drained =
           session.DrainChecked(InterruptContext{});
       ASSERT_TRUE(drained.status.ok()) << drained.status;

@@ -252,7 +252,7 @@ TEST(CircuitBreakerTest, DrainFeedbackEqualsPerColumnRecording) {
   options.num_threads = 2;
   options.circuit_breaker = drained;
   BatchDetector::Session session(options, keys);
-  session.AddSuspect(suspect);
+  ASSERT_TRUE(session.Submit({suspect}, SubmitPolicy::kShed, {}).ok());
   SessionDrainResult result = session.DrainChecked(InterruptContext{});
   ASSERT_TRUE(result.status.ok());
   EXPECT_FALSE(session.key_statuses()[2].ok());  // quarantined
@@ -316,7 +316,7 @@ TEST(CircuitBreakerTest, CleanDrainStillClosesTheOneTrackedKey) {
   options.circuit_breaker = breaker;
   BatchDetector::Session session(options, fx.keys);
   ASSERT_TRUE(session.key_statuses()[1].ok());
-  session.AddSuspect(fx.suspect);
+  ASSERT_TRUE(session.Submit({fx.suspect}, SubmitPolicy::kShed, {}).ok());
   SessionDrainResult result = session.DrainChecked(InterruptContext{});
   ASSERT_TRUE(result.status.ok());
   ASSERT_TRUE(result.cell_errors.empty());
@@ -328,7 +328,7 @@ TEST(CircuitBreakerTest, CleanDrainStillClosesTheOneTrackedKey) {
 
   // With nothing tracked, a clean drain leaves the breaker untouched.
   breaker->RecordSuccess(fx.fingerprints[1]);
-  session.AddSuspect(fx.suspect);
+  ASSERT_TRUE(session.Submit({fx.suspect}, SubmitPolicy::kShed, {}).ok());
   ASSERT_TRUE(session.DrainChecked(InterruptContext{}).status.ok());
   EXPECT_FALSE(breaker->TracksAnyKey());
   EXPECT_EQ(breaker->stats().trips, 0u);

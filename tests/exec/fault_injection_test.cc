@@ -2,8 +2,9 @@
 // seeded reproducibility, per-site forcing, keyed order-independence,
 // disarm hygiene — hold in every build. The tests that need the fault
 // *sites* compiled into product code (the PreparedKeyCache no-tombstone
-// regression) are gated on the FREQYWM_FAULT_INJECTION knob and skip
-// cleanly in a release configuration.
+// regression, the trace paths' typed failures) are gated on the
+// FREQYWM_FAULT_INJECTION knob and skip cleanly in a release
+// configuration.
 
 #include "exec/fault_injection.h"
 
@@ -14,9 +15,12 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/registry.h"
+#include "analysis/tenant.h"
 #include "api/factory.h"
 #include "common/random.h"
 #include "datagen/power_law.h"
+#include "exec/batch_detector.h"
 #include "exec/prepared_key_cache.h"
 
 namespace freqywm {
@@ -160,12 +164,12 @@ TEST_F(FaultInjectionTest, CacheFailedPreparationLeavesNoTombstone) {
 
   PreparedKeyCache cache;
   FaultInjector::Global().FailNextHits("prepared_key_cache/prepare", 1);
-  auto failed = cache.TryGetOrPrepare(scheme, key);
+  auto failed = cache.GetOrPrepare(scheme, key);
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(cache.size(), 0u);  // no tombstone, no negative entry
 
-  auto retried = cache.TryGetOrPrepare(scheme, key);
+  auto retried = cache.GetOrPrepare(scheme, key);
   ASSERT_TRUE(retried.ok()) << retried.status();
   EXPECT_NE(retried.value(), nullptr);
   EXPECT_EQ(cache.size(), 1u);
@@ -180,7 +184,7 @@ TEST_F(FaultInjectionTest, CacheFailedPreparationLeavesNoTombstone) {
 
 TEST_F(FaultInjectionTest, CacheConcurrentRetryAfterInjectedFailure) {
   // TSan regression companion to the test above: many threads race
-  // TryGetOrPrepare while the first hit at the fault site fails. Exactly
+  // GetOrPrepare while the first hit at the fault site fails. Exactly
   // one thread eats the injected fault; every other thread (and the
   // loser's retry) converges on one shared entry with no data race and
   // no tombstone.
@@ -199,12 +203,12 @@ TEST_F(FaultInjectionTest, CacheConcurrentRetryAfterInjectedFailure) {
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      auto result = cache.TryGetOrPrepare(scheme, key);
+      auto result = cache.GetOrPrepare(scheme, key);
       if (result.ok()) {
         entries[t] = result.value();
       } else {
         failures[t] = 1;
-        auto retry = cache.TryGetOrPrepare(scheme, key);
+        auto retry = cache.GetOrPrepare(scheme, key);
         if (retry.ok()) entries[t] = retry.value();
       }
     });
@@ -220,23 +224,53 @@ TEST_F(FaultInjectionTest, CacheConcurrentRetryAfterInjectedFailure) {
   }
 }
 
-TEST_F(FaultInjectionTest, GetOrPrepareFallsBackUncachedOnInjectedFault) {
-  // The infallible entry point keeps its never-null contract even when
-  // the cache path fails: it degrades to a private, uncached Prepare.
-  auto scheme_result = SchemeFactory::Create("freqywm");
-  ASSERT_TRUE(scheme_result.ok());
-  const WatermarkScheme& scheme = *scheme_result.value();
-  SchemeKey key = MakeFreqywmKey(5);
+TEST_F(FaultInjectionTest, TracePathsSurfaceInjectedFailures) {
+  // `Run` and both trace paths reach the `session/detect_cell` site. The
+  // traces return an injected cell or preparation failure as a typed
+  // error, never as a silently missing match; `Run` leaves the failed
+  // cell default-rejected.
+  Rng rng(6);
+  PowerLawSpec spec;
+  spec.num_tokens = 120;
+  spec.sample_size = 40000;
+  OptionBag bag;
+  bag.Set("seed", "6");
+  auto scheme = SchemeFactory::Create("freqywm", bag);
+  ASSERT_TRUE(scheme.ok());
+  auto outcome = scheme.value()->Embed(GeneratePowerLawHistogram(spec, rng));
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  const SchemeKey& key = outcome.value().key;
+  const std::vector<Histogram> suspects{outcome.value().watermarked};
 
-  PreparedKeyCache cache;
-  FaultInjector::Global().FailNextHits("prepared_key_cache/prepare", 1);
-  auto entry = cache.GetOrPrepare(scheme, key);
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(cache.size(), 0u);  // the fault kept it out of the cache
+  FingerprintRegistry registry;
+  ASSERT_TRUE(registry.Register("buyer", key).ok());
+  TenantContext tenant("tenant");
+  ASSERT_TRUE(tenant.Escrow("buyer", key).ok());
 
-  auto cached = cache.GetOrPrepare(scheme, key);
-  ASSERT_NE(cached, nullptr);
-  EXPECT_EQ(cache.size(), 1u);
+  for (const char* site : {"session/detect_cell", "session/prepare"}) {
+    FaultInjector::Global().FailNextHits(site, 1);
+    auto traced = registry.TraceSuspects(suspects);
+    ASSERT_FALSE(traced.ok()) << site;
+    EXPECT_EQ(traced.status().code(), StatusCode::kUnavailable) << site;
+
+    FaultInjector::Global().FailNextHits(site, 1);
+    auto tenant_traced = tenant.TraceSuspects(suspects);
+    ASSERT_FALSE(tenant_traced.ok()) << site;
+    EXPECT_EQ(tenant_traced.status().code(), StatusCode::kUnavailable)
+        << site;
+  }
+  FaultInjector::Global().FailNextHits("session/detect_cell", 1);
+  EXPECT_TRUE(BatchDetector().Run(suspects, {key})[0][0] == DetectResult{});
+
+  // Disarmed, every path finds the buyer.
+  auto traced = registry.TraceSuspects(suspects);
+  ASSERT_TRUE(traced.ok()) << traced.status();
+  ASSERT_EQ(traced.value()[0].size(), 1u);
+  EXPECT_EQ(traced.value()[0][0].buyer_id, "buyer");
+  auto tenant_traced = tenant.TraceSuspects(suspects);
+  ASSERT_TRUE(tenant_traced.ok()) << tenant_traced.status();
+  EXPECT_TRUE(tenant_traced.value() == traced.value());
+  EXPECT_TRUE(BatchDetector().Run(suspects, {key})[0][0].accepted);
 }
 
 #else

@@ -48,6 +48,7 @@ struct ChaosFixture {
   ChaosFixture() {
     FaultInjector::Global().Disarm();
     Histogram original = MakeHistogram(41);
+    std::vector<std::unique_ptr<WatermarkScheme>> schemes;
     for (uint64_t seed : {701, 702}) {
       OptionBag bag;
       bag.Set("seed", std::to_string(seed));
@@ -57,12 +58,14 @@ struct ChaosFixture {
       EXPECT_TRUE(outcome.ok()) << outcome.status();
       keys.push_back(outcome.value().key);
       if (suspect.total_count() == 0) suspect = outcome.value().watermarked;
+      schemes.push_back(std::move(scheme).value());
     }
-    BatchDetector::Session session(BatchDetectOptions{}, keys);
-    session.AddSuspect(suspect);
-    auto verdicts = session.Drain();
-    EXPECT_EQ(verdicts.size(), 1u);
-    if (!verdicts.empty()) reference_row = verdicts[0];
+    // The one-shot `Detect` of each key under its recommended options —
+    // what a tenant session's cells must reproduce.
+    for (size_t j = 0; j < keys.size(); ++j) {
+      reference_row.push_back(schemes[j]->Detect(
+          suspect, keys[j], schemes[j]->RecommendedDetectOptions(keys[j])));
+    }
   }
 };
 

@@ -33,12 +33,20 @@ void ExpectIdentical(const Histogram& a, const Histogram& b) {
   }
 }
 
+/// The sharded build, never interrupted, so it must succeed.
+Histogram Sharded(const Dataset& dataset, ThreadPool& pool) {
+  Result<Histogram> hist =
+      BuildHistogramSharded(dataset, pool, InterruptContext{});
+  EXPECT_TRUE(hist.ok()) << hist.status();
+  return hist.ok() ? std::move(hist).value() : Histogram();
+}
+
 TEST(ParallelHistogramTest, MatchesSerialBuildOnLargeDataset) {
   Dataset dataset = MakeDataset(400, 200000, 11);
   Histogram serial = Histogram::FromDataset(dataset);
   for (size_t threads : {1, 2, 4, 7}) {
     ThreadPool pool(threads);
-    Histogram sharded = BuildHistogramSharded(dataset, pool);
+    Histogram sharded = Sharded(dataset, pool);
     ExpectIdentical(serial, sharded);
   }
 }
@@ -53,17 +61,17 @@ TEST(ParallelHistogramTest, ManyTiedCountsKeepDeterministicOrder) {
   Dataset dataset(std::move(tokens));
   Histogram serial = Histogram::FromDataset(dataset);
   ThreadPool pool(4);
-  ExpectIdentical(serial, BuildHistogramSharded(dataset, pool));
+  ExpectIdentical(serial, Sharded(dataset, pool));
 }
 
 TEST(ParallelHistogramTest, SmallAndEmptyDatasetsFallBackToSerial) {
   ThreadPool pool(4);
-  Histogram empty = BuildHistogramSharded(Dataset(), pool);
+  Histogram empty = Sharded(Dataset(), pool);
   EXPECT_TRUE(empty.empty());
 
   Dataset tiny(std::vector<Token>{"a", "b", "a"});
   ExpectIdentical(Histogram::FromDataset(tiny),
-                  BuildHistogramSharded(tiny, pool));
+                  Sharded(tiny, pool));
 }
 
 TEST(ParallelHistogramTest, ExecContextDispatchesSerialAndParallel) {

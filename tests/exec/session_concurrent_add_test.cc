@@ -1,5 +1,5 @@
 // Concurrent-producer contract of `BatchDetector::Session` (DESIGN.md §11):
-// `AddSuspect`/`AddSuspects` are documented thread-safe — request handlers
+// `Submit` is documented thread-safe — request handlers
 // enqueue while a single drainer detects — and the pending queue is guarded
 // by `pending_mutex_` (statically checked by the CI thread-safety job; this
 // test is the dynamic half, run under TSan by the thread-sanitizer CI job).
@@ -17,6 +17,7 @@
 #include "data/histogram.h"
 #include "datagen/power_law.h"
 #include "exec/batch_detector.h"
+#include "one_shot_reference.h"
 
 namespace freqywm {
 namespace {
@@ -46,7 +47,8 @@ std::vector<SchemeKey> MakeKeyColumn() {
 TEST(BatchSessionConcurrentAddTest, ManyProducersAllSuspectsArrive) {
   BatchDetectOptions options;
   options.num_threads = 2;
-  BatchDetector::Session session(options, MakeKeyColumn());
+  const std::vector<SchemeKey> keys = MakeKeyColumn();
+  BatchDetector::Session session(options, keys);
 
   constexpr size_t kProducers = 4;
   constexpr size_t kPerProducer = 25;
@@ -57,7 +59,7 @@ TEST(BatchSessionConcurrentAddTest, ManyProducersAllSuspectsArrive) {
   for (size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&session, &suspect] {
       for (size_t i = 0; i < kPerProducer; ++i) {
-        session.AddSuspect(suspect);
+        ASSERT_TRUE(session.Submit({suspect}, SubmitPolicy::kShed, {}).ok());
       }
     });
   }
@@ -69,10 +71,11 @@ TEST(BatchSessionConcurrentAddTest, ManyProducersAllSuspectsArrive) {
   // the one-shot detection of that suspect — regardless of the order the
   // concurrent enqueues serialized in.
   const std::vector<std::vector<DetectResult>> expected =
-      session.Detect({suspect});
+      OneShotVerdicts({suspect}, keys);
   ASSERT_EQ(expected.size(), 1u);
 
-  const std::vector<std::vector<DetectResult>> drained = session.Drain();
+  const std::vector<std::vector<DetectResult>> drained =
+      session.DrainChecked({}).verdicts;
   ASSERT_EQ(drained.size(), kProducers * kPerProducer);
   for (const std::vector<DetectResult>& row : drained) {
     ASSERT_EQ(row.size(), expected[0].size());
@@ -91,16 +94,20 @@ TEST(BatchSessionConcurrentAddTest, EnqueueDuringDrainLandsInNextDrain) {
   const Histogram suspect = MakeCleanHistogram(888);
   constexpr size_t kFirstBatch = 10;
   constexpr size_t kConcurrent = 30;
-  for (size_t i = 0; i < kFirstBatch; ++i) session.AddSuspect(suspect);
+  for (size_t i = 0; i < kFirstBatch; ++i) {
+    ASSERT_TRUE(session.Submit({suspect}, SubmitPolicy::kShed, {}).ok());
+  }
 
-  // A producer races `Drain`: its suspects land either in this drain or in
-  // the pending queue for the next one, never lost and never duplicated.
+  // A producer races the drain: its suspects land either in this drain or
+  // in the pending queue for the next one, never lost and never duplicated.
   std::thread producer([&session, &suspect] {
-    for (size_t i = 0; i < kConcurrent; ++i) session.AddSuspect(suspect);
+    for (size_t i = 0; i < kConcurrent; ++i) {
+      ASSERT_TRUE(session.Submit({suspect}, SubmitPolicy::kShed, {}).ok());
+    }
   });
-  const size_t first = session.Drain().size();
+  const size_t first = session.DrainChecked({}).verdicts.size();
   producer.join();
-  const size_t second = session.Drain().size();
+  const size_t second = session.DrainChecked({}).verdicts.size();
 
   EXPECT_GE(first, kFirstBatch);
   EXPECT_EQ(first + second, kFirstBatch + kConcurrent);
@@ -121,7 +128,10 @@ TEST(BatchSessionConcurrentAddTest, AddSuspectsBulkIsThreadSafe) {
   for (size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&session, &suspect] {
       for (size_t b = 0; b < kBatchesPerProducer; ++b) {
-        session.AddSuspects(std::vector<Histogram>(kBatchSize, suspect));
+        ASSERT_TRUE(session
+                        .Submit(std::vector<Histogram>(kBatchSize, suspect),
+                                SubmitPolicy::kShed, {})
+                        .ok());
       }
     });
   }
@@ -129,7 +139,7 @@ TEST(BatchSessionConcurrentAddTest, AddSuspectsBulkIsThreadSafe) {
 
   EXPECT_EQ(session.pending_suspects(),
             kProducers * kBatchesPerProducer * kBatchSize);
-  EXPECT_EQ(session.Drain().size(),
+  EXPECT_EQ(session.DrainChecked({}).verdicts.size(),
             kProducers * kBatchesPerProducer * kBatchSize);
 }
 

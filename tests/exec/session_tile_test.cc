@@ -1,15 +1,15 @@
-// BatchDetector::Session tile suite: the tiled drain over bound pair
-// columns must equal the serial one-shot `Detect`, cell for cell, through
-// `DrainChecked`, `Detect` and `Run` at 1/2/4/8 threads. Key counts sit on
-// and around the matrix tile (`kCellTile` = 256 cells), and every column
-// kind shares a tile: FreqyWM (bound pairs), WM-OBT and WM-RVS (the
-// scheme's histogram path), a malformed key, keys with repeated tokens,
-// and three poisoned columns — an unregistered tag, a key whose `Prepare`
-// fails and a quarantined key. Also: the scatter in both probe directions
-// across several scatter tiles, an interrupted drain evaluates a prefix
-// of tiles whose cells each equal the clean run, and a forged key
-// with z = 2^64 - 1 (moduli at or above 2^63) gets the same verdict from
-// the engine, the one-shot `Detect` and the reference.
+// BatchDetector::Session tile suite: the tiled drain over bound pair columns
+// must equal the serial one-shot `Detect`, cell for cell, through
+// `DrainChecked`, `DetectChecked` and `Run` at 1/2/4/8 threads. Key counts sit
+// on and around the matrix tile (`kCellTile` = 256 cells), and every column
+// kind shares a tile: FreqyWM (bound pairs), WM-OBT and WM-RVS (the scheme's
+// histogram path), a malformed key, keys with repeated tokens, and three
+// poisoned columns — an unregistered tag, a key whose `Prepare` fails and a
+// quarantined key. Also: the scatter in both probe directions across several
+// scatter tiles, an interrupted drain evaluates a prefix of tiles whose cells
+// each equal the clean run, and a forged key with z = 2^64 - 1 (moduli at or
+// above 2^63) gets the same verdict from the engine, the one-shot `Detect` and
+// the reference.
 
 #include "exec/batch_detector.h"
 
@@ -275,7 +275,7 @@ TEST_P(SessionTileTest, DrainDetectAndRunEqualSerialOneShot) {
       options.circuit_breaker = BreakerQuarantining(fx.quarantined);
 
       BatchDetector::Session session(options, keys);
-      session.AddSuspects(fx.suspects);
+      ASSERT_TRUE(session.Submit(fx.suspects, SubmitPolicy::kShed, {}).ok());
       SessionDrainResult drained = session.DrainChecked(InterruptContext{});
       ASSERT_TRUE(drained.status.ok()) << drained.status;
       EXPECT_TRUE(drained.cell_errors.empty());
@@ -289,7 +289,8 @@ TEST_P(SessionTileTest, DrainDetectAndRunEqualSerialOneShot) {
               << "cell (" << i << "," << j << ")";
         }
       }
-      EXPECT_TRUE(session.Detect(fx.suspects) == expected.verdicts);
+      EXPECT_TRUE(session.DetectChecked(fx.suspects, {}).verdicts ==
+                  expected.verdicts);
 
       options.circuit_breaker = BreakerQuarantining(fx.quarantined);
       EXPECT_TRUE(BatchDetector(options).Run(fx.suspects, keys) ==
@@ -338,7 +339,7 @@ TEST(SessionTileScatterTest, BothProbeDirectionsAcrossScatterTiles) {
               2 * BatchDetector::Session::kScatterTile);
     ASSERT_LT(head.value().num_tokens(), session.vocabulary_size());
     ASSERT_GT(source.num_tokens(), session.vocabulary_size());
-    session.AddSuspects(suspects);
+    ASSERT_TRUE(session.Submit(suspects, SubmitPolicy::kShed, {}).ok());
     SessionDrainResult drained = session.DrainChecked(InterruptContext{});
     ASSERT_TRUE(drained.status.ok()) << drained.status;
     EXPECT_TRUE(drained.verdicts == expected.verdicts) << threads;
@@ -370,7 +371,7 @@ TEST(SessionTileInterruptTest, CancelledDrainEvaluatesATilePrefix) {
     options.key_cache = cache;
     options.circuit_breaker = BreakerQuarantining(fx.quarantined);
     BatchDetector::Session session(options, keys);
-    session.AddSuspects(fx.suspects);
+    ASSERT_TRUE(session.Submit(fx.suspects, SubmitPolicy::kShed, {}).ok());
     g_cancel_on_detect.store(&source);
     SessionDrainResult drained =
         session.DrainChecked(InterruptContext{source.token(), Deadline()});
@@ -462,7 +463,7 @@ TEST(SessionTileForgedKeyTest, FullWidthModulusAgreesEverywhere) {
       batch.use_recommended_options = false;
       batch.detect_options = options;
       BatchDetector::Session session(batch, {key});
-      session.AddSuspect(suspect);
+      ASSERT_TRUE(session.Submit({suspect}, SubmitPolicy::kShed, {}).ok());
       SessionDrainResult drained = session.DrainChecked(InterruptContext{});
       ASSERT_TRUE(drained.status.ok()) << drained.status;
       ASSERT_EQ(drained.evaluated[0], 1);
